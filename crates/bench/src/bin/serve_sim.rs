@@ -64,11 +64,11 @@
 //! serving reports are written to `REPORT_serve_sim.txt` so warm and cold
 //! runs can be diffed byte-for-byte.
 
+use scar_core::baselines::Standalone;
 use scar_core::Parallelism;
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_serve::{
-    AdmissionKind, PolicyFile, PolicyRegistry, ServeConfig, ServePolicy, ServeSim, TrafficMix,
-    TrafficShape,
+    AdmissionKind, PolicyFile, PolicyRegistry, ServeConfig, ServeSim, TrafficMix, TrafficShape,
 };
 use scar_telemetry::Telemetry;
 use std::fmt::Write as _;
@@ -263,9 +263,9 @@ fn main() {
 
         // the Standalone baseline under the same traffic (sharing the
         // persisted cost database — per-layer costs are scheduler-free)
-        let mut base = ServeSim::with_policy(
+        let mut base = ServeSim::with_scheduler(
             &mcm,
-            ServePolicy::Standalone,
+            Box::new(Standalone::new()),
             make_cfg(Telemetry::disabled()),
         );
         let b = base.run(&mix, horizon_s).expect("standalone fits too");

@@ -7,7 +7,7 @@ use crate::problem::{EvalTotals, OptMetric, ScheduleError, ScheduleInstance, Seg
 use crate::provision::{self, ProvisionRule};
 use crate::reconfig::{self, PackingRule};
 use crate::scheduler::{ScheduleRequest, Scheduler, Session};
-use crate::search::{self, SearchBudget, SearchCtx, SearchKind};
+use crate::search::{self, SearchBudget, SearchCtx, SearchKind, WindowSelect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scar_maestro::CostDatabase;
@@ -239,22 +239,18 @@ fn build_reports(
 #[derive(Debug, Clone)]
 pub struct ScarBuilder {
     nsplits: usize,
-    metric: OptMetric,
     packing: PackingRule,
     provisioning: ProvisionRule,
     search: SearchKind,
-    budget: SearchBudget,
 }
 
 impl Default for ScarBuilder {
     fn default() -> Self {
         Self {
             nsplits: 4,
-            metric: OptMetric::Edp,
             packing: PackingRule::Greedy,
             provisioning: ProvisionRule::Uniform,
             search: SearchKind::BruteForce,
-            budget: SearchBudget::default(),
         }
     }
 }
@@ -263,12 +259,6 @@ impl ScarBuilder {
     /// Number of time-window splits (§IV-A; default 4 → up to 5 windows).
     pub fn nsplits(mut self, n: usize) -> Self {
         self.nsplits = n;
-        self
-    }
-
-    /// The optimization metric (Definition 10; default EDP).
-    pub fn metric(mut self, metric: OptMetric) -> Self {
-        self.metric = metric;
         self
     }
 
@@ -290,24 +280,18 @@ impl ScarBuilder {
         self
     }
 
-    /// Search budgets (enumeration caps, Heuristic 2 constraint, RNG seed).
-    pub fn budget(mut self, budget: SearchBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Worker-pool sizing for candidate evaluation (shorthand for setting
-    /// [`SearchBudget::parallelism`]; call after [`ScarBuilder::budget`]).
-    /// Wall-clock only — schedules are bit-identical across settings.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.budget.parallelism = parallelism;
-        self
-    }
-
     /// Finalizes the scheduler.
     pub fn build(self) -> Scar {
+        self.build_selecting(WindowSelect::ScalarBest)
+    }
+
+    /// Finalizes a scheduler that picks each window's winner by `select`.
+    /// Crate-private: the rule belongs to the scheduler type (NSGA-SCAR),
+    /// it is not an option.
+    pub(crate) fn build_selecting(self, select: WindowSelect) -> Scar {
         Scar {
             config: self,
+            select,
             seg_memo: std::sync::Arc::default(),
         }
     }
@@ -317,9 +301,14 @@ impl ScarBuilder {
 /// cost-model feedback.
 ///
 /// Construct via [`Scar::builder`]; `schedule` runs the full pipeline.
+/// The request carries the metric and search budget; the builder keeps
+/// the structural knobs.
 #[derive(Debug, Clone)]
 pub struct Scar {
-    config: ScarBuilder,
+    pub(crate) config: ScarBuilder,
+    /// The per-window winner rule (scalar best unless built by a zoo
+    /// wrapper).
+    select: WindowSelect,
     /// Cross-search segmentation memo, shared by clones of this scheduler
     /// (observational: schedules are byte-identical with or without it).
     seg_memo: std::sync::Arc<crate::segmentation::SegMemo>,
@@ -337,10 +326,11 @@ impl Scar {
         Self::builder().build()
     }
 
-    /// Schedules with the builder's `metric`/`budget` against a
-    /// caller-provided cost database. This is the pre-trait entry point;
-    /// prefer driving the [`Scheduler`] trait with a [`Session`] — the two
-    /// paths are bit-identical given equal metric/budget.
+    /// The full pipeline (the only implementation of it: every SCAR-based
+    /// zoo member delegates here), parameterized over the request's
+    /// metric and budget. `warm_prefs` carries optional per-model
+    /// placement hints mined from a preempted in-flight schedule (see
+    /// [`Scheduler::preempt`]).
     ///
     /// # Errors
     ///
@@ -348,28 +338,6 @@ impl Scar {
     ///   concurrently active models than the package has chiplets;
     /// * [`ScheduleError::NoFeasibleSchedule`] when a window's search finds
     ///   no candidate (budgets too tight for the topology).
-    pub fn schedule_with_db(
-        &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.schedule_core(
-            scenario,
-            mcm,
-            db,
-            &self.config.metric,
-            &self.config.budget,
-            None,
-            &Telemetry::disabled(),
-        )
-    }
-
-    /// The full pipeline, parameterized over the per-request knobs (the
-    /// builder's `metric`/`budget` serve as defaults for the inherent entry
-    /// points; the [`Scheduler`] trait substitutes the request's).
-    /// `warm_prefs` carries optional per-model placement hints mined from a
-    /// preempted in-flight schedule (see [`Scheduler::preempt`]).
     #[allow(clippy::too_many_arguments)]
     fn schedule_core(
         &self,
@@ -423,6 +391,7 @@ impl Scar {
             budget,
             warm_prefs,
             seg_memo: Some(&self.seg_memo),
+            select: self.select,
             tel,
         };
 
@@ -522,64 +491,6 @@ impl Scar {
             budget.parallelism,
         ))
     }
-
-    /// Re-evaluates an existing schedule instance against `scenario` as a
-    /// *seeded candidate*, skipping the window search entirely.
-    ///
-    /// This is the incremental-rescheduling fast path for serving loops:
-    /// when consecutive live scenarios differ only in batch sizes, the
-    /// previous window's segmentation and placement remain structurally
-    /// valid — only the costs (and the evaluator's mini-batch choices)
-    /// change. Re-evaluating the prior placement costs one cost-model pass
-    /// instead of a full (allocation × segmentation × placement) search.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error if `seed` does not fit `scenario`
-    /// (different layer counts, bad chiplet ids, …); callers fall back to
-    /// [`Scar::schedule_with_db`].
-    pub fn evaluate_seeded(
-        &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-        seed: &ScheduleInstance,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        self.evaluate_seeded_core(
-            scenario,
-            mcm,
-            db,
-            seed,
-            &self.config.metric,
-            self.config.budget.parallelism,
-            &Telemetry::disabled(),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_seeded_core(
-        &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-        seed: &ScheduleInstance,
-        metric: &OptMetric,
-        parallelism: Parallelism,
-        tel: &Telemetry,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        seed.validate(scenario, mcm.num_chiplets())?;
-        let _g = tel.span("schedule.seeded");
-        Ok(ScheduleResult::from_instance(
-            mcm.name(),
-            scenario,
-            mcm,
-            db,
-            metric.clone(),
-            seed.clone(),
-            Vec::new(),
-            parallelism,
-        ))
-    }
 }
 
 impl Scheduler for Scar {
@@ -639,16 +550,16 @@ impl Scheduler for Scar {
     /// search-free, and the trimmed search derives all randomness from
     /// the request's seed.
     ///
-    /// `SCAR_PREEMPT_FASTPATH=0` disables the fast path entirely.
+    /// The fast path reads `in_flight` through its mined hints *and*
+    /// through the incumbent re-evaluation, so the trait-default
+    /// [`Scheduler::preempt_fingerprint`] (the full instance) is the sound
+    /// cache key.
     fn preempt(
         &self,
         session: &Session,
         request: &ScheduleRequest,
         in_flight: &ScheduleInstance,
     ) -> Result<ScheduleResult, ScheduleError> {
-        if !preempt_fastpath_enabled() {
-            return self.schedule(session, request);
-        }
         let tel = session.telemetry();
         let hints = {
             let _g = tel
@@ -667,6 +578,7 @@ impl Scheduler for Scar {
                 nsplits: self.config.nsplits.saturating_sub(1).max(1),
                 ..self.config.clone()
             },
+            select: self.select,
             seg_memo: std::sync::Arc::clone(&self.seg_memo),
         };
         let fast = {
@@ -704,47 +616,37 @@ impl Scheduler for Scar {
         }
     }
 
-    /// The fast path consumes `in_flight` through its mined hints *and*
-    /// through the incumbent re-evaluation (which reads the whole
-    /// instance when it validates), so the sound projection is the full
-    /// instance — the trait default. With the fast path disabled,
-    /// [`Scar::preempt`] ignores `in_flight` entirely and the fingerprint
-    /// is empty (request-only), so every cut of the same request shares
-    /// one cached full-search answer.
-    fn preempt_fingerprint(
-        &self,
-        _request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-        mut state: &mut dyn Hasher,
-    ) {
-        if preempt_fastpath_enabled() {
-            in_flight.hash(&mut state);
-        }
-    }
-
     fn supports_reschedule(&self) -> bool {
         true
     }
 
     /// The incremental fast path: re-evaluates `seed` against the request
-    /// (see [`Scar::evaluate_seeded`]); `None` when the seed no longer
-    /// validates against the request's scenario.
+    /// as a *seeded candidate*, skipping the window search entirely. When
+    /// consecutive live scenarios differ only in batch sizes, the previous
+    /// segmentation and placement stay structurally valid — only the costs
+    /// (and the evaluator's mini-batch choices) change — so one cost-model
+    /// pass replaces a full (allocation × segmentation × placement)
+    /// search. `None` when the seed no longer validates against the
+    /// request's scenario.
     fn reschedule(
         &self,
         session: &Session,
         request: &ScheduleRequest,
         seed: &ScheduleInstance,
     ) -> Option<ScheduleResult> {
-        self.evaluate_seeded_core(
+        seed.validate(&request.scenario, request.mcm.num_chiplets())
+            .ok()?;
+        let _g = session.telemetry().span("schedule.seeded");
+        Some(ScheduleResult::from_instance(
+            request.mcm.name(),
             &request.scenario,
             &request.mcm,
             session.database(),
-            seed,
-            &request.metric,
+            request.metric.clone(),
+            seed.clone(),
+            Vec::new(),
             request.budget.parallelism,
-            session.telemetry(),
-        )
-        .ok()
+        ))
     }
 
     /// SCAR's structural knobs, recorded into artifacts so replay rebuilds
@@ -774,14 +676,6 @@ impl Scheduler for Scar {
             }
         }
     }
-}
-
-/// `SCAR_PREEMPT_FASTPATH` (default on, `0` disables): answer
-/// [`Scheduler::preempt`] with the splice-aware warm-start search instead
-/// of the trait default's full re-search.
-fn preempt_fastpath_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SCAR_PREEMPT_FASTPATH").map_or(true, |v| v != "0"))
 }
 
 /// The bounded perturbation neighborhood for splice re-scheduling: the
@@ -1065,5 +959,73 @@ mod tests {
         for (mi, sm) in sc.models().iter().enumerate() {
             assert_eq!(covered[mi], sm.model.num_layers());
         }
+    }
+
+    fn p(l: f64, e: f64) -> CandidatePoint {
+        CandidatePoint {
+            latency_s: l,
+            energy_j: e,
+        }
+    }
+
+    #[test]
+    fn front_is_nondominated_and_sorted() {
+        let pts = vec![
+            p(1.0, 5.0),
+            p(2.0, 3.0),
+            p(3.0, 4.0),
+            p(4.0, 1.0),
+            p(1.5, 6.0),
+        ];
+        let f = pareto_front(&pts);
+        assert_eq!(f.len(), 3);
+        assert_eq!(f[0].latency_s, 1.0);
+        assert_eq!(f[1].latency_s, 2.0);
+        assert_eq!(f[2].latency_s, 4.0);
+    }
+
+    #[test]
+    fn dominated_duplicates_are_dropped() {
+        let pts = vec![p(1.0, 1.0), p(1.0, 2.0), p(2.0, 2.0)];
+        assert_eq!(pareto_front(&pts).len(), 1);
+    }
+
+    /// A NaN-polluted candidate cloud must not panic the figure bins.
+    #[test]
+    fn front_survives_nan_candidates() {
+        let pts = vec![
+            p(f64::NAN, 1.0),
+            p(1.0, f64::NAN),
+            p(f64::NAN, f64::NAN),
+            p(2.0, 3.0),
+            p(3.0, 1.0),
+        ];
+        let f = pareto_front(&pts);
+        assert_eq!(f.len(), 2);
+        assert!(f
+            .iter()
+            .all(|c| c.latency_s.is_finite() && c.energy_j.is_finite()));
+        assert_eq!(f[0].latency_s, 2.0);
+        assert_eq!(f[1].latency_s, 3.0);
+    }
+
+    /// Regression: an all-NaN cloud yields an empty front, not a panic or
+    /// a front of NaNs.
+    #[test]
+    fn all_nan_cloud_yields_empty_front() {
+        let pts = vec![p(f64::NAN, f64::NAN), p(f64::NAN, 0.0)];
+        assert!(pareto_front(&pts).is_empty());
+    }
+
+    /// Infinities are orderable, so they are legal (if extreme) points:
+    /// an infinite-energy point never enters the front, an
+    /// infinite-latency point only if it strictly improves energy.
+    #[test]
+    fn infinities_order_without_panicking() {
+        let pts = vec![p(1.0, f64::INFINITY), p(f64::INFINITY, 0.5), p(2.0, 1.0)];
+        let f = pareto_front(&pts);
+        assert_eq!(f.len(), 2);
+        assert_eq!(f[0].latency_s, 2.0);
+        assert_eq!(f[1].energy_j, 0.5);
     }
 }

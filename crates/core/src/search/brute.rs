@@ -389,6 +389,7 @@ mod tests {
             budget: &budget,
             warm_prefs: None,
             seg_memo: None,
+            select: crate::search::WindowSelect::ScalarBest,
             tel: &scar_telemetry::Telemetry::disabled(),
         };
         let n0 = sc.models()[0].model.num_layers();
@@ -441,6 +442,7 @@ mod tests {
             budget: &budget,
             warm_prefs: None,
             seg_memo: None,
+            select: crate::search::WindowSelect::ScalarBest,
             tel: &scar_telemetry::Telemetry::disabled(),
         };
         let n0 = sc.models()[0].model.num_layers();

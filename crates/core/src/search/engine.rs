@@ -10,7 +10,7 @@
 //! * a [`CandidateSource`] (brute-force or evolutionary) produces ordered
 //!   batches of [`WindowCandidate`]s, drawing all of its randomness on the
 //!   generation side;
-//! * the engine scores each batch across a [`par_map`] worker pool sized by
+//! * the engine scores each batch across a [`par_map_chunks`] worker pool sized by
 //!   [`SearchBudget::parallelism`](crate::SearchBudget), then merges the
 //!   results **in generation order** — best-candidate selection, the
 //!   candidate cloud, and the feedback handed back to the source are all
@@ -19,21 +19,23 @@
 //!   [`CandidateSource::observe`], which is how the evolutionary driver
 //!   closes its selection loop without ever touching evaluation itself.
 
-use super::{SearchCtx, WindowSearchResult};
+use super::{nsga, SearchCtx, WindowSearchResult};
 use crate::evaluate::{Evaluator, WindowEval};
-use crate::parallel::{par_map, par_map_chunks};
+use crate::parallel::par_map_chunks;
 use crate::problem::{EvalTotals, OptMetric, WindowSchedule};
-use std::sync::OnceLock;
 
-/// `SCAR_EVAL_BATCH` (default on, `0` disables): evaluate candidate
-/// *slices* per worker task — per-slice setup hoisted, cost-database
-/// lookups batched under one read-lock acquisition per chunk — instead of
-/// one evaluation call per candidate. Both paths are bit-identical; the
-/// knob exists to measure the difference and to fall back if a platform's
-/// lock behavior misbehaves.
-fn eval_batching_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("SCAR_EVAL_BATCH").map_or(true, |v| v != "0"))
+/// How a window's winner is picked from its evaluated candidates. A
+/// per-scheduler-type property (SCAR picks the scalar best, NSGA-SCAR the
+/// NSGA-II knee), not a user option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WindowSelect {
+    /// Minimal scalar score under the search metric, earliest generation
+    /// on ties. Retains only the running best schedule.
+    ScalarBest,
+    /// The NSGA-II knee over the whole scored cloud
+    /// ([`nsga::knee_select`]). Retains every candidate until the window
+    /// is drained.
+    NsgaKnee,
 }
 
 /// One fully specified window schedule awaiting evaluation.
@@ -61,17 +63,10 @@ pub(crate) trait CandidateSource {
     fn observe(&mut self, _scores: &[f64]) {}
 }
 
-/// A candidate's evaluation plus its scalar score under the search metric.
-struct Scored {
-    eval: WindowEval,
-    score: f64,
-}
-
-/// A fully evaluated candidate retained for multi-objective selection:
-/// the schedule itself, its full per-model evaluation, and its scalar
-/// score under the search metric. Position in the [`run_collect`] output
-/// *is* generation order (the id stream is strictly increasing), so
-/// selectors tie-break on index.
+/// An evaluated candidate: the schedule itself, its full per-model
+/// evaluation, and its scalar score under the search metric. A retained
+/// cloud is in generation order (the id stream is strictly increasing),
+/// so selectors tie-break on index.
 pub(crate) struct ScoredCandidate {
     /// The candidate window schedule.
     pub schedule: WindowSchedule,
@@ -82,8 +77,9 @@ pub(crate) struct ScoredCandidate {
 }
 
 /// Drains `source`, evaluating every batch in parallel, and returns the
-/// best window schedule with the full candidate cloud (in generation
-/// order). `None` when the source produced no candidates at all.
+/// window's winner under `ctx.select` with the totals of every candidate
+/// (in generation order). `None` when the source produced no candidates
+/// at all.
 pub(crate) fn run(
     ctx: &SearchCtx<'_>,
     mut source: impl CandidateSource,
@@ -91,12 +87,13 @@ pub(crate) fn run(
     let evaluator = ctx.evaluator();
     let threads = ctx.budget.parallelism.threads();
 
-    let mut best: Option<(f64, WindowSchedule, WindowEval)> = None;
+    let mut best: Option<ScoredCandidate> = None;
+    let mut cloud: Vec<ScoredCandidate> = Vec::new();
     let mut candidates: Vec<EvalTotals> = Vec::new();
 
     loop {
         // spans are recorded here on the coordinating thread — workers
-        // inside `par_map` never touch the telemetry sink
+        // inside `par_map_chunks` never touch the telemetry sink
         let batch = {
             let mut g = ctx.tel.span("search.generation");
             let batch = source.next_batch();
@@ -117,14 +114,24 @@ pub(crate) fn run(
             .arg("threads", threads);
         let scored = evaluate_batch(&evaluator, ctx.metric, &batch, threads);
 
-        // in-order merge: identical to a serial evaluation loop — strict
-        // `<` keeps the earliest-generated candidate on ties
+        // in-order merge: identical to a serial evaluation loop
         let mut scores = Vec::with_capacity(scored.len());
-        for (cand, sc) in batch.iter().zip(scored) {
-            candidates.push(sc.eval.totals());
-            scores.push(sc.score);
-            if best.as_ref().map(|(b, _, _)| sc.score < *b).unwrap_or(true) {
-                best = Some((sc.score, cand.schedule.clone(), sc.eval));
+        for (cand, (eval, score)) in batch.into_iter().zip(scored) {
+            candidates.push(eval.totals());
+            scores.push(score);
+            let scored = ScoredCandidate {
+                schedule: cand.schedule,
+                eval,
+                score,
+            };
+            match ctx.select {
+                // strict `<` keeps the earliest-generated candidate on ties
+                WindowSelect::ScalarBest => {
+                    if best.as_ref().is_none_or(|b| score < b.score) {
+                        best = Some(scored);
+                    }
+                }
+                WindowSelect::NsgaKnee => cloud.push(scored),
             }
         }
         drop(_eval_span);
@@ -132,101 +139,48 @@ pub(crate) fn run(
         source.observe(&scores);
     }
 
-    best.map(|(_, ws, eval)| WindowSearchResult {
-        best: ws,
-        eval,
+    // the NSGA rule picks only once the whole cloud is in (under the
+    // scalar rule the cloud stays empty)
+    if !cloud.is_empty() {
+        let winner = {
+            let _g = ctx
+                .tel
+                .span("schedule.nsga")
+                .arg("window", cloud[0].schedule.window.index)
+                .arg("candidates", cloud.len());
+            nsga::knee_select(&cloud, ctx.metric)
+        };
+        best = Some(cloud.swap_remove(winner));
+    }
+    best.map(|b| WindowSearchResult {
+        best: b.schedule,
+        eval: b.eval,
         candidates,
     })
 }
 
-/// [`run`]'s retaining sibling: drains `source` through the identical
-/// batch/evaluate/observe loop — same batches, same parallel evaluation,
-/// same in-generation-order merge, same feedback — but keeps **every**
-/// candidate (schedule + full evaluation + scalar score) instead of only
-/// the scalar-best. This is the raw material for selectors that need the
-/// whole cloud at once, like NSGA-II non-dominated sorting
-/// ([`crate::search::nsga`]). Kept separate from [`run`] so the
-/// single-objective hot path never pays the per-candidate retention.
-///
-/// The returned vector is in generation order (ids strictly increasing),
-/// bit-identical for any thread count — the same contract [`run`] keeps.
-/// Empty when the source produced no candidates.
-pub(crate) fn run_collect(
-    ctx: &SearchCtx<'_>,
-    mut source: impl CandidateSource,
-) -> Vec<ScoredCandidate> {
-    let evaluator = ctx.evaluator();
-    let threads = ctx.budget.parallelism.threads();
-    let mut out: Vec<ScoredCandidate> = Vec::new();
-
-    loop {
-        let batch = {
-            let mut g = ctx.tel.span("search.generation");
-            let batch = source.next_batch();
-            g.push_arg("candidates", batch.len());
-            batch
-        };
-        if batch.is_empty() {
-            break;
-        }
-        debug_assert!(
-            batch.windows(2).all(|w| w[0].id < w[1].id),
-            "candidate ids must be strictly increasing in generation order"
-        );
-        let _eval_span = ctx
-            .tel
-            .span("search.evaluation")
-            .arg("candidates", batch.len())
-            .arg("threads", threads);
-        let scored = evaluate_batch(&evaluator, ctx.metric, &batch, threads);
-
-        let mut scores = Vec::with_capacity(scored.len());
-        for (cand, sc) in batch.into_iter().zip(scored) {
-            scores.push(sc.score);
-            out.push(ScoredCandidate {
-                schedule: cand.schedule,
-                eval: sc.eval,
-                score: sc.score,
-            });
-        }
-        drop(_eval_span);
-        let _g = ctx.tel.span("search.generation");
-        source.observe(&scores);
-    }
-    out
-}
-
 /// Scores one batch on up to `threads` workers, results in batch order.
 ///
-/// The default (batched) path hands each worker a contiguous candidate
-/// *slice* and evaluates it through [`Evaluator::evaluate_windows`], which
-/// amortizes cost-database locking and evaluation setup across the slice.
-/// Per-candidate evaluation is pure and the chunked merge preserves batch
-/// order, so both paths — and every thread count — produce bit-identical
-/// results.
+/// Each worker takes a contiguous candidate *slice* and evaluates it
+/// through [`Evaluator::evaluate_windows`], which amortizes cost-database
+/// locking and evaluation setup across the slice. Per-candidate
+/// evaluation is pure and the chunked merge preserves batch order, so
+/// every thread count produces bit-identical results.
 fn evaluate_batch(
     evaluator: &Evaluator<'_>,
     metric: &OptMetric,
     batch: &[WindowCandidate],
     threads: usize,
-) -> Vec<Scored> {
-    if eval_batching_enabled() {
-        par_map_chunks(batch, threads, |chunk| {
-            let schedules: Vec<&WindowSchedule> = chunk.iter().map(|c| &c.schedule).collect();
-            evaluator
-                .evaluate_windows(&schedules)
-                .into_iter()
-                .map(|eval| {
-                    let score = metric.score(&eval.totals());
-                    Scored { eval, score }
-                })
-                .collect()
-        })
-    } else {
-        par_map(batch, threads, |cand| {
-            let eval = evaluator.evaluate_window(&cand.schedule);
-            let score = metric.score(&eval.totals());
-            Scored { eval, score }
-        })
-    }
+) -> Vec<(WindowEval, f64)> {
+    par_map_chunks(batch, threads, |chunk| {
+        let schedules: Vec<&WindowSchedule> = chunk.iter().map(|c| &c.schedule).collect();
+        evaluator
+            .evaluate_windows(&schedules)
+            .into_iter()
+            .map(|eval| {
+                let score = metric.score(&eval.totals());
+                (eval, score)
+            })
+            .collect()
+    })
 }

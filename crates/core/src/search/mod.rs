@@ -16,6 +16,8 @@ pub(crate) mod engine;
 mod evolutionary;
 pub mod nsga;
 
+pub(crate) use engine::WindowSelect;
+
 use crate::evaluate::{Evaluator, WindowEval};
 use crate::expected::ExpectedCosts;
 use crate::parallel::Parallelism;
@@ -131,6 +133,9 @@ pub(crate) struct SearchCtx<'a> {
     /// Cross-search segmentation memo (observational: populated or absent,
     /// candidate lists are byte-identical). `None` in one-shot contexts.
     pub seg_memo: Option<&'a SegMemo>,
+    /// How the engine picks each window's winner (SCAR: scalar best;
+    /// NSGA-SCAR: the NSGA-II knee).
+    pub select: WindowSelect,
     /// Observational only: generation/evaluation spans are recorded from
     /// the coordinating thread, never inside `par_map` workers, so the
     /// Serial-vs-`Fixed(N)` determinism contract is untouched.
@@ -230,7 +235,8 @@ impl<'a> SearchCtx<'a> {
 }
 
 /// Searches one window with the chosen driver: builds the driver's
-/// candidate source and drains it through the parallel evaluation engine.
+/// candidate source and drains it through the parallel evaluation engine,
+/// which picks the winner under `ctx.select`.
 pub(crate) fn search_window(
     ctx: &SearchCtx<'_>,
     window: &TimeWindow,
@@ -260,43 +266,6 @@ pub(crate) fn search_window(
                 evolutionary::EvoSource::new(ctx, window, allocations, *p, rng)
             };
             engine::run(ctx, source)
-        }
-    }
-}
-
-/// [`search_window`]'s cloud-retaining sibling: drains the same driver
-/// stream through [`engine::run_collect`], returning **every** evaluated
-/// candidate (schedule + evaluation + scalar score) in generation order
-/// instead of only the scalar-best. Used by multi-objective selectors
-/// ([`nsga`], [`crate::zoo::NsgaScar`]) that pick their winner after
-/// seeing the whole window cloud. Empty = no feasible candidate.
-pub(crate) fn search_window_collect(
-    ctx: &SearchCtx<'_>,
-    window: &TimeWindow,
-    allocations: &[Vec<usize>],
-    kind: &SearchKind,
-    rng: &mut StdRng,
-) -> Vec<engine::ScoredCandidate> {
-    match kind {
-        SearchKind::BruteForce => {
-            let source = {
-                let _g = ctx
-                    .tel
-                    .span("search.generation")
-                    .arg("window", window.index);
-                brute::BruteSource::new(ctx, window, allocations, rng)
-            };
-            engine::run_collect(ctx, source)
-        }
-        SearchKind::Evolutionary(p) => {
-            let source = {
-                let _g = ctx
-                    .tel
-                    .span("search.generation")
-                    .arg("window", window.index);
-                evolutionary::EvoSource::new(ctx, window, allocations, *p, rng)
-            };
-            engine::run_collect(ctx, source)
         }
     }
 }

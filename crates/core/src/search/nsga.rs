@@ -19,6 +19,9 @@
 //!   earliest-generated candidate — the same rule the single-objective
 //!   engine uses, which is what keeps Serial ≡ Fixed(N) bit-identical.
 
+use super::engine::ScoredCandidate;
+use crate::evaluate::WindowEval;
+use crate::problem::OptMetric;
 use std::cmp::Ordering;
 
 /// Pareto dominance for minimization: `Some(Less)` when `a` dominates `b`
@@ -171,6 +174,86 @@ pub fn knee_point(front: &[usize], scalar: &[f64], crowding: &[f64]) -> Option<u
         .map(|(_, i)| i)
 }
 
+/// NSGA-II selection over one window's scored cloud (NSGA-SCAR's window
+/// rule, see [`NsgaScar`](crate::zoo::NsgaScar)): returns the winning
+/// index into `cloud`.
+///
+/// Falls back to the engine's own rule — minimal scalar score, earliest
+/// generation on ties — if non-dominated sorting yields no front (every
+/// candidate carried a NaN objective), so a degenerate cloud still
+/// selects exactly what single-objective SCAR would.
+pub(crate) fn knee_select(cloud: &[ScoredCandidate], window_metric: &OptMetric) -> usize {
+    let bound = match window_metric {
+        OptMetric::ConstrainedEdp { max_latency_s } => Some(*max_latency_s),
+        _ => None,
+    };
+    let violations: Vec<f64> = cloud
+        .iter()
+        .map(|c| {
+            bound
+                .map(|b| (c.eval.totals().latency_s - b).max(0.0))
+                .unwrap_or(0.0)
+        })
+        .collect();
+    // constraint domination: feasible candidates (violation 0) compete
+    // among themselves; only an all-infeasible cloud lets violators in
+    let eligible: Vec<usize> = if violations.contains(&0.0) {
+        (0..cloud.len()).filter(|&i| violations[i] == 0.0).collect()
+    } else {
+        (0..cloud.len()).collect()
+    };
+    let objectives: Vec<Vec<f64>> = eligible
+        .iter()
+        .map(|&i| {
+            let t = cloud[i].eval.totals();
+            vec![
+                t.latency_s,
+                t.energy_j,
+                fairness_spread(&cloud[i].eval) + violations[i],
+            ]
+        })
+        .collect();
+    let fronts = non_dominated_sort(&objectives);
+    let winner = fronts.first().and_then(|front0| {
+        let crowding = crowding_distance(&objectives, front0);
+        let scalar: Vec<f64> = eligible.iter().map(|&i| cloud[i].score).collect();
+        knee_point(front0, &scalar, &crowding)
+    });
+    match winner {
+        Some(local) => eligible[local],
+        None => cloud
+            .iter()
+            .enumerate()
+            .min_by(|(ia, a), (ib, b)| a.score.total_cmp(&b.score).then(ia.cmp(ib)))
+            .map(|(i, _)| i)
+            .unwrap_or(0),
+    }
+}
+
+/// The fairness objective: the straggler spread of a window — the gap in
+/// seconds between the slowest and fastest co-resident model. `0.0` for
+/// a window serving at most one model (nothing to be unfair between). A
+/// NaN per-model latency propagates to NaN, excluding the candidate from
+/// every front (an evaluation failure is not a fair schedule).
+fn fairness_spread(eval: &WindowEval) -> f64 {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    let mut n = 0usize;
+    for per in eval.per_model.iter().flatten() {
+        if per.latency_s.is_nan() {
+            return f64::NAN;
+        }
+        lo = lo.min(per.latency_s);
+        hi = hi.max(per.latency_s);
+        n += 1;
+    }
+    if n < 2 {
+        0.0
+    } else {
+        hi - lo
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,5 +380,38 @@ mod tests {
         scalar[5] = f64::NAN;
         assert_eq!(knee_point(&front, &scalar, &crowding), Some(7));
         assert_eq!(knee_point(&[], &scalar, &[]), None);
+    }
+
+    #[test]
+    fn knee_select_prefers_feasible_then_knee() {
+        // feasible candidates gate out violators, then the metric knee wins
+        let cand = |lat: f64, en: f64, score: f64| ScoredCandidate {
+            schedule: crate::WindowSchedule {
+                window: crate::TimeWindow {
+                    index: 0,
+                    layers: vec![],
+                },
+                segments: vec![],
+                placement: vec![],
+            },
+            eval: WindowEval {
+                latency_s: lat,
+                energy_j: en,
+                per_model: vec![],
+            },
+            score,
+        };
+        let metric = OptMetric::ConstrainedEdp { max_latency_s: 2.0 };
+        // 0: violates the bound with a great score; 1 and 2 feasible
+        let cloud = vec![
+            cand(3.0, 0.1, 0.01),
+            cand(1.5, 2.0, 3.0),
+            cand(1.0, 3.0, 3.0),
+        ];
+        let w = knee_select(&cloud, &metric);
+        assert_ne!(w, 0, "violator must not win while feasible points exist");
+        // scalar tie between 1 and 2 → both boundary (infinite crowding)
+        // → earliest generation wins
+        assert_eq!(w, 1);
     }
 }

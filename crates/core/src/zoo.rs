@@ -13,36 +13,25 @@
 //! front end) lives in `scar_serve::zoo`; DESIGN.md §14 renders the
 //! same catalog as a table.
 
-use crate::problem::{OptMetric, ScheduleError, ScheduleInstance};
-use crate::provision::{self, ProvisionRule};
-use crate::reconfig::{self, PackingRule};
-use crate::scar::{CandidatePoint, Scar, ScheduleResult};
+use crate::problem::{ScheduleError, ScheduleInstance};
+use crate::scar::{Scar, ScarBuilder, ScheduleResult};
 use crate::scheduler::{ScheduleRequest, Scheduler, SchedulerConfig, Session};
-use crate::search::engine::ScoredCandidate;
-use crate::search::{self, nsga, SearchBudget, SearchCtx, SearchKind};
-use crate::ExpectedCosts;
-use crate::{EvalTotals, WindowEval};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use scar_maestro::CostDatabase;
-use scar_mcm::McmConfig;
-use scar_telemetry::Telemetry;
-use scar_workloads::Scenario;
-use std::hash::{Hash, Hasher};
+use crate::search::{SearchBudget, SearchKind, WindowSelect};
+use std::hash::Hasher;
 
 /// NSGA-II Pareto-front multi-objective scheduler.
 ///
-/// Runs the unmodified SCAR pipeline (MCM-Reconfig → PROV → SEG → SCHED)
-/// but replaces each window's scalar-best selection with NSGA-II
-/// selection over the window's **full** evaluated candidate cloud
-/// (the search engine's collect-all entry point): candidates are scored
-/// on three
-/// minimized objectives — latency, energy, and a fairness/violation
-/// score (the spread between the slowest and fastest co-resident model,
-/// plus any constrained-latency violation) — then non-dominated sorted,
-/// and the winner is the knee of front 0 under the request metric
-/// ([`nsga::knee_point`]: minimal metric score, ties to the
-/// larger crowding distance, final ties to generation order).
+/// SCAR's pipeline (MCM-Reconfig → PROV → SEG → SCHED), run by an inner
+/// [`Scar`], with one difference: each window's winner is the NSGA-II
+/// knee over the window's **full** evaluated candidate cloud instead of
+/// the scalar best. Candidates are scored on three minimized objectives —
+/// latency, energy, and a fairness/violation score (the spread between
+/// the slowest and fastest co-resident model, plus any
+/// constrained-latency violation) — then non-dominated sorted, and the
+/// winner is the knee of front 0 under the request metric
+/// ([`knee_point`](crate::search::nsga::knee_point): minimal metric
+/// score, ties to the larger crowding distance, final ties to generation
+/// order).
 ///
 /// Constraint handling follows the standard NSGA-II
 /// constraint-domination rule: when any candidate satisfies the window's
@@ -52,15 +41,11 @@ use std::hash::{Hash, Hasher};
 /// Deterministic and `Serial ≡ Fixed(N)` bit-identical: the cloud
 /// arrives in generation order regardless of evaluation parallelism, and
 /// every tie in sorting, crowding, and knee selection breaks toward the
-/// earliest-generated candidate.
-#[derive(Debug)]
+/// earliest-generated candidate. Preemption is the trait default (a full
+/// re-search); rescheduling, configuration and fingerprint are SCAR's.
+#[derive(Debug, Clone)]
 pub struct NsgaScar {
-    nsplits: usize,
-    packing: PackingRule,
-    provisioning: ProvisionRule,
-    search: SearchKind,
-    /// Cross-search segmentation memo (observational, like [`Scar`]'s).
-    seg_memo: std::sync::Arc<crate::segmentation::SegMemo>,
+    inner: Scar,
 }
 
 impl Default for NsgaScar {
@@ -73,163 +58,23 @@ impl NsgaScar {
     /// Defaults matching [`Scar::with_defaults`]'s structural knobs:
     /// `nsplits = 4`, greedy packing, uniform provisioning, brute force.
     pub fn new() -> Self {
-        Self {
-            nsplits: 4,
-            packing: PackingRule::Greedy,
-            provisioning: ProvisionRule::Uniform,
-            search: SearchKind::BruteForce,
-            seg_memo: std::sync::Arc::default(),
-        }
+        Self::from_config(Scar::builder())
     }
 
     /// Number of time-window splits (§IV-A; default 4).
-    pub fn nsplits(mut self, n: usize) -> Self {
-        self.nsplits = n;
-        self
+    pub fn nsplits(self, n: usize) -> Self {
+        Self::from_config(self.inner.config.nsplits(n))
     }
 
     /// The per-window search driver (default: brute force).
-    pub fn search(mut self, kind: SearchKind) -> Self {
-        self.search = kind;
-        self
+    pub fn search(self, kind: SearchKind) -> Self {
+        Self::from_config(self.inner.config.search(kind))
     }
 
-    /// The SCAR pipeline with NSGA-II per-window selection (see the type
-    /// docs). Structure mirrors `Scar::schedule_core` stage for stage;
-    /// only the winner-picking differs.
-    fn schedule_core(
-        &self,
-        scenario: &Scenario,
-        mcm: &McmConfig,
-        db: &CostDatabase,
-        metric: &OptMetric,
-        budget: &SearchBudget,
-        tel: &Telemetry,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let expected = {
-            let _g = tel.span("schedule.costs");
-            ExpectedCosts::compute(scenario, mcm, db)
-        };
-        let partition = {
-            let _g = tel.span("schedule.partition").arg("nsplits", self.nsplits);
-            reconfig::partition(scenario, &expected, self.nsplits, self.packing)
-        };
-        debug_assert!(partition.validate(scenario).is_ok());
-
-        let max_active = partition
-            .windows()
-            .iter()
-            .map(|w| w.active_models().len())
-            .max()
-            .unwrap_or(0);
-        if max_active > mcm.num_chiplets() {
-            return Err(ScheduleError::InsufficientChiplets {
-                needed: max_active,
-                available: mcm.num_chiplets(),
-            });
+    fn from_config(config: ScarBuilder) -> Self {
+        Self {
+            inner: config.build_selecting(WindowSelect::NsgaKnee),
         }
-
-        let window_metric = match metric {
-            OptMetric::ConstrainedEdp { max_latency_s } => OptMetric::ConstrainedEdp {
-                max_latency_s: max_latency_s / partition.len().max(1) as f64,
-            },
-            other => other.clone(),
-        };
-        let ctx = SearchCtx {
-            scenario,
-            mcm,
-            db,
-            expected: &expected,
-            metric: &window_metric,
-            budget,
-            warm_prefs: None,
-            seg_memo: Some(&self.seg_memo),
-            tel,
-        };
-
-        let mut rng = StdRng::seed_from_u64(budget.seed);
-        let mut window_schedules = Vec::with_capacity(partition.len());
-        let mut window_evals: Vec<WindowEval> = Vec::with_capacity(partition.len());
-        let mut per_window_candidates: Vec<Vec<EvalTotals>> = Vec::with_capacity(partition.len());
-
-        for window in partition.windows() {
-            let allocations = {
-                let _g = tel.span("schedule.provision").arg("window", window.index);
-                provision::allocations(
-                    window,
-                    scenario,
-                    &expected,
-                    metric,
-                    mcm.num_chiplets(),
-                    self.provisioning,
-                    budget.node_constraint,
-                )
-            };
-            if allocations.is_empty() {
-                return Err(ScheduleError::InsufficientChiplets {
-                    needed: window.active_models().len(),
-                    available: mcm.num_chiplets(),
-                });
-            }
-            let cloud =
-                search::search_window_collect(&ctx, window, &allocations, &self.search, &mut rng);
-            if cloud.is_empty() {
-                return Err(ScheduleError::NoFeasibleSchedule {
-                    window: window.index,
-                });
-            }
-            let winner = {
-                let _g = tel
-                    .span("schedule.nsga")
-                    .arg("window", window.index)
-                    .arg("candidates", cloud.len());
-                nsga_select(&cloud, &window_metric)
-            };
-            let totals: Vec<EvalTotals> = cloud.iter().map(|c| c.eval.totals()).collect();
-            let ScoredCandidate { schedule, eval, .. } = cloud
-                .into_iter()
-                .nth(winner)
-                .expect("nsga_select returns an in-range index");
-            per_window_candidates.push(totals);
-            window_schedules.push(schedule);
-            window_evals.push(eval);
-        }
-
-        let schedule = ScheduleInstance {
-            windows: window_schedules,
-        };
-        schedule.validate(scenario, mcm.num_chiplets())?;
-
-        // full-schedule candidate cloud, exactly as SCAR builds it: swap
-        // one window's candidate into the otherwise-best schedule
-        let best_totals: Vec<EvalTotals> = window_evals.iter().map(|e| e.totals()).collect();
-        let total_best = best_totals
-            .iter()
-            .fold(EvalTotals::default(), |mut acc, t| {
-                acc.accumulate(*t);
-                acc
-            });
-        let mut candidates = Vec::new();
-        for (w, cands) in per_window_candidates.iter().enumerate() {
-            for c in cands {
-                candidates.push(CandidatePoint {
-                    latency_s: total_best.latency_s - best_totals[w].latency_s + c.latency_s,
-                    energy_j: total_best.energy_j - best_totals[w].energy_j + c.energy_j,
-                });
-            }
-        }
-
-        let _g = tel.span("schedule.finalize");
-        Ok(ScheduleResult::from_instance(
-            mcm.name(),
-            scenario,
-            mcm,
-            db,
-            metric.clone(),
-            schedule,
-            candidates,
-            budget.parallelism,
-        ))
     }
 }
 
@@ -243,163 +88,28 @@ impl Scheduler for NsgaScar {
         session: &Session,
         request: &ScheduleRequest,
     ) -> Result<ScheduleResult, ScheduleError> {
-        let tel = session.telemetry();
-        let _g = tel
-            .span("schedule.run")
-            .arg_opt("tag", request.trace_tag.as_deref());
-        self.schedule_core(
-            &request.scenario,
-            &request.mcm,
-            session.database(),
-            &request.metric,
-            &request.budget,
-            tel,
-        )
+        self.inner.schedule(session, request)
     }
 
     fn supports_reschedule(&self) -> bool {
-        true
+        self.inner.supports_reschedule()
     }
 
-    /// Same incremental fast path as SCAR's: re-evaluate the prior
-    /// instance as a seeded candidate (search-free, so no NSGA selection
-    /// is involved); `None` when the seed no longer validates.
     fn reschedule(
         &self,
         session: &Session,
         request: &ScheduleRequest,
         seed: &ScheduleInstance,
     ) -> Option<ScheduleResult> {
-        reschedule_seeded(session, request, seed)
+        self.inner.reschedule(session, request, seed)
     }
 
     fn config(&self) -> SchedulerConfig {
-        SchedulerConfig {
-            nsplits: Some(self.nsplits),
-            search: Some(self.search.clone()),
-        }
+        self.inner.config()
     }
 
-    fn fingerprint_config(&self, mut state: &mut dyn Hasher) {
-        self.nsplits.hash(&mut state);
-        self.packing.hash(&mut state);
-        self.provisioning.hash(&mut state);
-        hash_search_kind(&self.search, &mut state);
-    }
-}
-
-/// NSGA-II selection over one window's scored cloud (see [`NsgaScar`]):
-/// returns the winning index into `cloud`.
-///
-/// Falls back to the engine's own rule — minimal scalar score, earliest
-/// generation on ties — if non-dominated sorting yields no front (every
-/// candidate carried a NaN objective), so a degenerate cloud still
-/// selects exactly what single-objective SCAR would.
-fn nsga_select(cloud: &[ScoredCandidate], window_metric: &OptMetric) -> usize {
-    let bound = match window_metric {
-        OptMetric::ConstrainedEdp { max_latency_s } => Some(*max_latency_s),
-        _ => None,
-    };
-    let violations: Vec<f64> = cloud
-        .iter()
-        .map(|c| {
-            bound
-                .map(|b| (c.eval.totals().latency_s - b).max(0.0))
-                .unwrap_or(0.0)
-        })
-        .collect();
-    // constraint domination: feasible candidates (violation 0) compete
-    // among themselves; only an all-infeasible cloud lets violators in
-    let eligible: Vec<usize> = if violations.contains(&0.0) {
-        (0..cloud.len()).filter(|&i| violations[i] == 0.0).collect()
-    } else {
-        (0..cloud.len()).collect()
-    };
-    let objectives: Vec<Vec<f64>> = eligible
-        .iter()
-        .map(|&i| {
-            let t = cloud[i].eval.totals();
-            vec![
-                t.latency_s,
-                t.energy_j,
-                fairness_spread(&cloud[i].eval) + violations[i],
-            ]
-        })
-        .collect();
-    let fronts = nsga::non_dominated_sort(&objectives);
-    let winner = fronts.first().and_then(|front0| {
-        let crowding = nsga::crowding_distance(&objectives, front0);
-        let scalar: Vec<f64> = eligible.iter().map(|&i| cloud[i].score).collect();
-        nsga::knee_point(front0, &scalar, &crowding)
-    });
-    match winner {
-        Some(local) => eligible[local],
-        None => cloud
-            .iter()
-            .enumerate()
-            .min_by(|(ia, a), (ib, b)| a.score.total_cmp(&b.score).then(ia.cmp(ib)))
-            .map(|(i, _)| i)
-            .unwrap_or(0),
-    }
-}
-
-/// The fairness objective: the straggler spread of a window — the gap in
-/// seconds between the slowest and fastest co-resident model. `0.0` for
-/// a window serving at most one model (nothing to be unfair between). A
-/// NaN per-model latency propagates to NaN, excluding the candidate from
-/// every front (an evaluation failure is not a fair schedule).
-fn fairness_spread(eval: &WindowEval) -> f64 {
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    let mut n = 0usize;
-    for per in eval.per_model.iter().flatten() {
-        if per.latency_s.is_nan() {
-            return f64::NAN;
-        }
-        lo = lo.min(per.latency_s);
-        hi = hi.max(per.latency_s);
-        n += 1;
-    }
-    if n < 2 {
-        0.0
-    } else {
-        hi - lo
-    }
-}
-
-/// The shared seeded-reschedule fast path: validate the prior instance
-/// against the request and re-evaluate it search-free (what
-/// `Scar::evaluate_seeded` does, for zoo members that don't wrap a
-/// [`Scar`]).
-fn reschedule_seeded(
-    session: &Session,
-    request: &ScheduleRequest,
-    seed: &ScheduleInstance,
-) -> Option<ScheduleResult> {
-    seed.validate(&request.scenario, request.mcm.num_chiplets())
-        .ok()?;
-    let _g = session.telemetry().span("schedule.seeded");
-    Some(ScheduleResult::from_instance(
-        request.mcm.name(),
-        &request.scenario,
-        &request.mcm,
-        session.database(),
-        request.metric.clone(),
-        seed.clone(),
-        Vec::new(),
-        request.budget.parallelism,
-    ))
-}
-
-fn hash_search_kind(kind: &SearchKind, mut state: &mut dyn Hasher) {
-    match kind {
-        SearchKind::BruteForce => 0u8.hash(&mut state),
-        SearchKind::Evolutionary(p) => {
-            1u8.hash(&mut state);
-            p.population.hash(&mut state);
-            p.generations.hash(&mut state);
-            p.mutation_rate.to_bits().hash(&mut state);
-        }
+    fn fingerprint_config(&self, state: &mut dyn Hasher) {
+        self.inner.fingerprint_config(state);
     }
 }
 
@@ -477,15 +187,6 @@ impl Scheduler for MergedPipeline {
         in_flight: &ScheduleInstance,
     ) -> Result<ScheduleResult, ScheduleError> {
         self.inner.preempt(session, request, in_flight)
-    }
-
-    fn preempt_fingerprint(
-        &self,
-        request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-        state: &mut dyn Hasher,
-    ) {
-        self.inner.preempt_fingerprint(request, in_flight, state);
     }
 
     /// Records `nsplits = 0` — the merged-pipeline invariant — so replay
@@ -591,15 +292,6 @@ impl Scheduler for SpliceScar {
         self.inner.preempt(session, &trimmed, in_flight)
     }
 
-    fn preempt_fingerprint(
-        &self,
-        request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-        state: &mut dyn Hasher,
-    ) {
-        self.inner.preempt_fingerprint(request, in_flight, state);
-    }
-
     fn config(&self) -> SchedulerConfig {
         self.inner.config()
     }
@@ -614,6 +306,7 @@ mod tests {
     use super::*;
     use crate::pareto_front;
     use scar_mcm::templates::{het_sides_3x3, Profile};
+    use scar_workloads::Scenario;
 
     fn small_budget() -> SearchBudget {
         SearchBudget {
@@ -669,42 +362,6 @@ mod tests {
         assert_eq!(serial.schedule(), fixed.schedule());
         assert_eq!(serial.total(), fixed.total());
         assert_eq!(serial.candidates(), fixed.candidates());
-    }
-
-    #[test]
-    fn nsga_select_prefers_feasible_then_knee() {
-        // Synthetic selection check without the pipeline: feasible
-        // candidates gate out violators, then the metric knee wins.
-        use crate::search::engine::ScoredCandidate;
-        use crate::WindowEval;
-        let cand = |lat: f64, en: f64, score: f64| ScoredCandidate {
-            schedule: crate::WindowSchedule {
-                window: crate::TimeWindow {
-                    index: 0,
-                    layers: vec![],
-                },
-                segments: vec![],
-                placement: vec![],
-            },
-            eval: WindowEval {
-                latency_s: lat,
-                energy_j: en,
-                per_model: vec![],
-            },
-            score,
-        };
-        let metric = OptMetric::ConstrainedEdp { max_latency_s: 2.0 };
-        // 0: violates the bound with a great score; 1 and 2 feasible
-        let cloud = vec![
-            cand(3.0, 0.1, 0.01),
-            cand(1.5, 2.0, 3.0),
-            cand(1.0, 3.0, 3.0),
-        ];
-        let w = nsga_select(&cloud, &metric);
-        assert_ne!(w, 0, "violator must not win while feasible points exist");
-        // scalar tie between 1 and 2 → both boundary (infinite crowding)
-        // → earliest generation wins
-        assert_eq!(w, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`sim`] — the serving loop ([`ServeSim`]): batches queued requests
 //!   into live [`Scenario`](scar_workloads::Scenario)s and schedules them
 //!   through a boxed [`Scheduler`](scar_core::Scheduler) — SCAR, a paper
-//!   baseline (pick one by name with [`ServePolicy`]), or any custom
+//!   baseline (pick one by name with [`PolicyRegistry`]), or any custom
 //!   implementation — over one [`Session`](scar_core::Session)-wide cost
 //!   database, advancing virtual time by the evaluated window latencies
 //!   and completing each tenant's requests at its own last-active-window
@@ -94,6 +94,6 @@ pub use fleet::{
 };
 pub use registry::{PolicyFactory, PolicyRegistry, UnknownPolicy};
 pub use report::{percentile, LatencySummary, ServeReport, StreamStats};
-pub use sim::{ServeConfig, ServePolicy, ServeSim};
+pub use sim::{ServeConfig, ServeSim};
 pub use traffic::{ArrivalProcess, Request, RequestStream, TrafficMix, TrafficShape};
 pub use zoo::{catalog, render_catalog, PolicyFile, ZooCard};

@@ -3,10 +3,8 @@
 //! `serve_sim`, the bench binaries, and the replay harness all need to
 //! turn *names* (from an environment variable, a CLI flag, a JSON config,
 //! a recorded [`ScheduleArtifact`](scar_core::ScheduleArtifact)) into
-//! scheduler values. Before this module, that was a hard-coded `match` on
-//! [`ServePolicy`](crate::ServePolicy) — closed to user schedulers and duplicated by every
-//! tool that read a config. [`PolicyRegistry`] replaces the match with a
-//! name → factory table:
+//! scheduler values. [`PolicyRegistry`] is that mapping, as a name →
+//! factory table open to user schedulers:
 //!
 //! * the three paper schedulers (`"SCAR"`, `"Standalone"`, `"NN-baton"`)
 //!   are pre-registered in [`PolicyRegistry::with_builtins`];
@@ -33,6 +31,16 @@ use crate::sim::ServeConfig;
 use scar_core::baselines::{NnBaton, Standalone};
 use scar_core::{Scar, Scheduler};
 use std::fmt;
+
+/// SCAR built from `cfg` by the registry's `"SCAR"` factory: the one
+/// place a SCAR scheduler is built from a [`ServeConfig`]
+/// (`ServeSim::new` and the fleet's shared-session replicas both come
+/// here).
+pub(crate) fn scar_from(cfg: &ServeConfig) -> Box<dyn Scheduler> {
+    PolicyRegistry::with_builtins()
+        .build("SCAR", cfg)
+        .expect("SCAR is a built-in policy")
+}
 
 /// A scheduler constructor: builds a fresh boxed [`Scheduler`] for a
 /// serving configuration.

@@ -416,6 +416,18 @@ mod tests {
         }
     }
 
+    /// A hostile nesting depth is a parse error, not a stack overflow
+    /// that aborts the process.
+    #[test]
+    fn deeply_nested_policy_file_is_an_error() {
+        let deep = format!(
+            r#"{{ "policy": "SCAR", "search": {} }}"#,
+            "[".repeat(200_000)
+        );
+        let err = PolicyFile::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
     /// The registry-shadowing satellite's second half: a config file
     /// naming an unknown policy fails with [`UnknownPolicy`] and its
     /// known-names list — every zoo name included — not a panic or a

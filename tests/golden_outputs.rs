@@ -10,8 +10,8 @@
 //! value in the same commit and says why.
 
 use scar::core::{
-    OptMetric, Parallelism, ScheduleInstance, ScheduleRequest, ScheduleResult, Scheduler,
-    SearchBudget, Session,
+    OptMetric, Parallelism, ScheduleInstance, ScheduleRequest, ScheduleResult, SearchBudget,
+    Session,
 };
 use scar::hash::StableHasher;
 use scar::mcm::templates::{het_sides_3x3, Profile};

@@ -1,9 +1,9 @@
-//! Integration tests for the `Scheduler` trait redesign: every scheduler
-//! driven through `Box<dyn Scheduler>` must be bit-identical to the
-//! pre-redesign entry points, requests/results must round-trip through
-//! JSON, and sharing a `Session` must never change results.
+//! Integration tests for the `Scheduler` trait: every scheduler driven
+//! through `Box<dyn Scheduler>` must be bit-identical to the concrete
+//! type's own call, requests/results must round-trip through JSON, and
+//! sharing a `Session` must never change results.
 
-use scar::core::baselines::{self, NnBaton, Standalone};
+use scar::core::baselines::{NnBaton, Standalone};
 use scar::core::{
     OptMetric, Parallelism, Scar, ScheduleArtifact, ScheduleRequest, ScheduleResult, Scheduler,
     SearchBudget, Session,
@@ -30,13 +30,12 @@ fn request(sc: &Scenario, mcm: &McmConfig, metric: OptMetric) -> ScheduleRequest
         .budget(quick())
 }
 
-/// Every scheduler family behind one `Box<dyn Scheduler>`, checked
-/// bit-identical (totals, windows, chosen schedule, candidate cloud)
-/// against the pre-redesign entry points: `Scar::schedule_with_db` for
-/// SCAR, the `baselines::*` free functions for the baselines.
+/// Every scheduler family behind one `Box<dyn Scheduler>` on a shared
+/// `Session`, checked bit-identical (totals, windows, chosen schedule,
+/// candidate cloud) against the concrete type's own trait call on a
+/// fresh `Session`: neither boxing nor session sharing changes a result.
 #[test]
-#[allow(deprecated)]
-fn boxed_schedulers_match_pre_redesign_entry_points() {
+fn boxed_schedulers_match_concrete_trait_calls() {
     let sc = Scenario::datacenter(1);
     let mcm = het_sides_3x3(Profile::Datacenter);
     let session = Session::new();
@@ -47,35 +46,32 @@ fn boxed_schedulers_match_pre_redesign_entry_points() {
         let schedulers: Vec<(Box<dyn Scheduler>, ScheduleResult)> = vec![
             (
                 Box::new(Scar::with_defaults()),
-                Scar::builder()
-                    .metric(metric.clone())
-                    .budget(quick())
-                    .build()
-                    .schedule_with_db(&sc, &mcm, session.database())
+                Scar::with_defaults()
+                    .schedule(&Session::new(), &req)
                     .unwrap(),
             ),
             (
                 Box::new(Standalone::new()),
-                baselines::standalone(&sc, &mcm, metric.clone(), Parallelism::Serial).unwrap(),
+                Standalone::new().schedule(&Session::new(), &req).unwrap(),
             ),
             (
                 Box::new(NnBaton::new()),
-                baselines::nn_baton(&sc, &mcm, metric.clone(), Parallelism::Serial).unwrap(),
+                NnBaton::new().schedule(&Session::new(), &req).unwrap(),
             ),
         ];
-        for (scheduler, legacy) in &schedulers {
+        for (scheduler, concrete) in &schedulers {
             let via_trait = scheduler.schedule(&session, &req).unwrap();
             let label = format!("{} / {}", scheduler.name(), metric.label());
-            assert_eq!(via_trait.total(), legacy.total(), "{label}: totals");
-            assert_eq!(via_trait.windows(), legacy.windows(), "{label}: windows");
+            assert_eq!(via_trait.total(), concrete.total(), "{label}: totals");
+            assert_eq!(via_trait.windows(), concrete.windows(), "{label}: windows");
             assert_eq!(
                 via_trait.schedule(),
-                legacy.schedule(),
+                concrete.schedule(),
                 "{label}: chosen schedule"
             );
             assert_eq!(
                 via_trait.candidates(),
-                legacy.candidates(),
+                concrete.candidates(),
                 "{label}: candidate cloud"
             );
         }
@@ -178,7 +174,7 @@ fn scheduler_config_roundtrips_through_artifacts() {
     let req = request(&sc, &mcm, OptMetric::Edp);
 
     // a non-default SCAR: nsplits 2 (the registry default is 1)
-    let scar = Scar::builder().nsplits(2).budget(quick()).build();
+    let scar = Scar::builder().nsplits(2).build();
     assert_eq!(
         scar.config(),
         SchedulerConfig {
