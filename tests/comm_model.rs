@@ -88,6 +88,33 @@ fn lat_com_reference_vectors_are_pinned() {
     );
 }
 
+/// Literal wireless prices on the datacenter 3×3: the hop-flat on-package
+/// medium, the wired DRAM port behind one wireless hop, and the inter-MCM
+/// link. Exact `f64` equality, so any reordering of the arithmetic shows.
+#[test]
+fn wireless_prices_are_pinned() {
+    let m =
+        het_sides_3x3(Profile::Datacenter).with_interconnect(Some(InterconnectSpec::wireless()));
+
+    // 1 MB over the medium costs the same 4 hops away as 1 hop away
+    for dst in [8, 1] {
+        let c = m.transfer(Loc::Chiplet(0), Loc::Chiplet(dst), 1_000_000);
+        assert_eq!(c.time_s, 5.0010000000000004e-5, "0→{dst} time");
+        assert_eq!(c.energy_j, 8e-6, "0→{dst} energy");
+    }
+
+    let d = m.transfer_with_delta(Loc::Chiplet(0), Loc::Chiplet(8), 1_000_000, 3e-7);
+    assert_eq!(d.time_s, 5.0310000000000005e-5, "wireless time + δ");
+
+    let c = m.transfer(Loc::Offchip, Loc::Chiplet(4), 64_000);
+    assert_eq!(c.time_s, 1.2099999999999998e-6, "wireless off-chip time");
+    assert_eq!(c.energy_j, 8.0896e-6, "wireless off-chip energy");
+
+    let c = m.inter_mcm_transfer(64_000);
+    assert_eq!(c.time_s, 3.2099999999999998e-6, "wireless inter-MCM time");
+    assert_eq!(c.energy_j, 5.12e-7, "wireless inter-MCM energy");
+}
+
 /// `InterconnectSpec::nop()` prices only the *new* tier: on-package and
 /// off-chip transfers are bit-identical with and without the spec, while
 /// inter-MCM transfers go from free to priced.

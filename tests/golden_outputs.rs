@@ -15,6 +15,7 @@ use scar::core::{
 };
 use scar::hash::StableHasher;
 use scar::mcm::templates::{het_sides_3x3, Profile};
+use scar::mcm::InterconnectSpec;
 use scar::serve::{AdmissionKind, PolicyRegistry, ServeConfig, ServeSim, TrafficMix, TrafficShape};
 use scar::workloads::{Model, Scenario, ScenarioModel};
 use std::hash::{Hash, Hasher};
@@ -105,6 +106,24 @@ fn zoo_schedules_are_pinned() {
         })
         .collect();
     assert_eq!(got, expected);
+}
+
+/// SCAR on the wireless what-if fabric: the hop-flat medium reprices
+/// every on-package and off-chip transfer, so this pins the wireless arms
+/// of `Lat_com` through a whole search.
+#[test]
+fn wireless_schedule_is_pinned() {
+    let mut req = request();
+    req.mcm = req
+        .mcm
+        .with_interconnect(Some(InterconnectSpec::wireless()));
+    let scheduler = PolicyRegistry::with_zoo()
+        .build("SCAR", &zoo_config())
+        .expect("registered");
+    let r = scheduler
+        .schedule(&Session::new(), &req)
+        .expect("schedules");
+    assert_eq!(digest(&r), 0xb4a0_54f4_978d_cd13);
 }
 
 #[test]
