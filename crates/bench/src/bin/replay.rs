@@ -142,11 +142,10 @@ fn main() -> ExitCode {
         }
     }
     if let Ok(s) = std::env::var("SCAR_SEARCH") {
-        options.serve_config.search = match s.trim().to_ascii_lowercase().as_str() {
-            "brute" | "bruteforce" | "brute-force" => SearchKind::BruteForce,
-            "evo" | "evolutionary" => SearchKind::Evolutionary(Default::default()),
-            other => {
-                eprintln!("SCAR_SEARCH={other:?} is not `brute` or `evolutionary`");
+        options.serve_config.search = match SearchKind::parse(&s) {
+            Ok(kind) => kind,
+            Err(e) => {
+                eprintln!("SCAR_SEARCH: {e}");
                 return ExitCode::from(2);
             }
         };

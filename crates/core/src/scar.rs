@@ -529,8 +529,10 @@ impl Scheduler for Scar {
     /// *trimmed* budget whose search explores the neighborhood around the
     /// surviving placement plus the newly arrived tenants' deltas. The
     /// splice search also drops one reconfiguration split (`nsplits - 1`,
-    /// floor 1): a mid-window cut rarely needs the full boundary count,
-    /// and fewer windows shrink every downstream stage. Falls
+    /// floor 1, never above the configured `nsplits`): a mid-window cut
+    /// rarely needs the full boundary count, and fewer windows shrink
+    /// every downstream stage. A scheduler pinned to one window
+    /// (`nsplits = 0`, Merged-Pipeline) keeps one window. Falls
     /// back to the full [`Scheduler::schedule`] path when mining yields no
     /// hints or the seeded search finds nothing feasible, byte-identical
     /// to the trait default.
@@ -551,9 +553,8 @@ impl Scheduler for Scar {
     /// the request's seed.
     ///
     /// The fast path reads `in_flight` through its mined hints *and*
-    /// through the incumbent re-evaluation, so the trait-default
-    /// [`Scheduler::preempt_fingerprint`] (the full instance) is the sound
-    /// cache key.
+    /// through the incumbent re-evaluation, so serving loops key cached
+    /// splices on the full cut instance.
     fn preempt(
         &self,
         session: &Session,
@@ -573,9 +574,10 @@ impl Scheduler for Scar {
             return self.schedule(session, request);
         }
         let trimmed = preempt_budget(&request.budget);
+        let nsplits = self.config.nsplits;
         let splicer = Self {
             config: ScarBuilder {
-                nsplits: self.config.nsplits.saturating_sub(1).max(1),
+                nsplits: nsplits.saturating_sub(1).max(1).min(nsplits),
                 ..self.config.clone()
             },
             select: self.select,
@@ -614,10 +616,6 @@ impl Scheduler for Scar {
             // infeasible under the trimmed neighborhood: full search
             (Err(_), None) => self.schedule(session, request),
         }
-    }
-
-    fn supports_reschedule(&self) -> bool {
-        true
     }
 
     /// The incremental fast path: re-evaluates `seed` against the request

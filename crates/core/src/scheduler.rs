@@ -51,7 +51,7 @@ use scar_mcm::McmConfig;
 use scar_telemetry::Telemetry;
 use scar_workloads::{Model, Scenario};
 use serde::{Deserialize, Serialize};
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
 /// A scheduling session: the shared state every [`Scheduler`] call reuses.
 ///
@@ -338,13 +338,6 @@ pub trait Scheduler {
         request: &ScheduleRequest,
     ) -> Result<ScheduleResult, ScheduleError>;
 
-    /// Whether [`Scheduler::reschedule`] can ever return `Some` — i.e.
-    /// whether the scheduler has an incremental fast path worth seeding.
-    /// Search-free schedulers keep the default `false`.
-    fn supports_reschedule(&self) -> bool {
-        false
-    }
-
     /// Re-evaluates `seed` (a previous result's [`ScheduleInstance`])
     /// against the request instead of searching from scratch — the
     /// incremental-rescheduling fast path for serving loops whose
@@ -388,28 +381,6 @@ pub trait Scheduler {
     ) -> Result<ScheduleResult, ScheduleError> {
         let _ = in_flight;
         self.schedule(session, request)
-    }
-
-    /// Hashes everything of `in_flight` that [`Scheduler::preempt`] can
-    /// actually read into `state` — the *preemption cache key* material
-    /// beyond the request itself. Serving loops combine this with the
-    /// request fingerprint to cache preempt results; two calls whose
-    /// fingerprints collide MUST return identical results.
-    ///
-    /// The default hashes the entire cut instance (always sound: no two
-    /// distinct in-flight schedules share a key). Schedulers that only
-    /// consume a *projection* of the instance should hash just that
-    /// projection, so cuts that differ in irrelevant detail share one
-    /// cached result. SCAR's splice path reads the whole instance (its
-    /// incumbent re-evaluation), so it keeps the default.
-    fn preempt_fingerprint(
-        &self,
-        request: &ScheduleRequest,
-        in_flight: &ScheduleInstance,
-        mut state: &mut dyn Hasher,
-    ) {
-        let _ = request;
-        in_flight.hash(&mut state);
     }
 
     /// Hashes the scheduler's *configuration* (everything beyond the

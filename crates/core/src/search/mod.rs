@@ -105,6 +105,28 @@ pub enum SearchKind {
     Evolutionary(EvoParams),
 }
 
+impl SearchKind {
+    /// Parses a driver name, as policy files and the `SCAR_SEARCH` knob
+    /// spell it: `brute`, `bruteforce` or `brute-force` for
+    /// [`SearchKind::BruteForce`]; `evo` or `evolutionary` for
+    /// [`SearchKind::Evolutionary`] with default parameters. Case and
+    /// surrounding whitespace are ignored, so the wire names
+    /// `"BruteForce"` and `"Evolutionary"` parse too.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending value when it names no driver.
+    pub fn parse(name: &str) -> Result<SearchKind, String> {
+        match name.trim().to_ascii_lowercase().as_str() {
+            "brute" | "bruteforce" | "brute-force" => Ok(SearchKind::BruteForce),
+            "evo" | "evolutionary" => Ok(SearchKind::Evolutionary(EvoParams::default())),
+            _ => Err(format!(
+                "unknown search driver {name:?} (expected brute|bruteforce|brute-force|evo|evolutionary)"
+            )),
+        }
+    }
+}
+
 /// The outcome of searching one window.
 #[derive(Debug, Clone)]
 pub struct WindowSearchResult {

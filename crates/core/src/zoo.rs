@@ -91,10 +91,6 @@ impl Scheduler for NsgaScar {
         self.inner.schedule(session, request)
     }
 
-    fn supports_reschedule(&self) -> bool {
-        self.inner.supports_reschedule()
-    }
-
     fn reschedule(
         &self,
         session: &Session,
@@ -165,10 +161,6 @@ impl Scheduler for MergedPipeline {
         request: &ScheduleRequest,
     ) -> Result<ScheduleResult, ScheduleError> {
         self.inner.schedule(session, request)
-    }
-
-    fn supports_reschedule(&self) -> bool {
-        self.inner.supports_reschedule()
     }
 
     fn reschedule(
@@ -264,10 +256,6 @@ impl Scheduler for SpliceScar {
         request: &ScheduleRequest,
     ) -> Result<ScheduleResult, ScheduleError> {
         self.inner.schedule(session, request)
-    }
-
-    fn supports_reschedule(&self) -> bool {
-        self.inner.supports_reschedule()
     }
 
     fn reschedule(
@@ -377,6 +365,29 @@ mod tests {
         );
         let cfg = MergedPipeline::new().config();
         assert_eq!(cfg.nsplits, Some(0));
+    }
+
+    #[test]
+    fn merged_pipeline_preempt_keeps_one_window() {
+        let session = Session::new();
+        let merged = MergedPipeline::new();
+        let tenant = Scenario::datacenter(2).models()[0].clone();
+        for n in 1..=5 {
+            let req =
+                ScheduleRequest::new(Scenario::datacenter(n), het_sides_3x3(Profile::Datacenter))
+                    .budget(small_budget());
+            let in_flight = merged.schedule(&session, &req).expect("schedules");
+            let mut models = req.scenario.models().to_vec();
+            models.push(tenant.clone());
+            let grown = ScheduleRequest {
+                scenario: Scenario::new("grown", req.scenario.use_case(), models),
+                ..req.clone()
+            };
+            let r = merged
+                .preempt(&session, &grown, in_flight.schedule())
+                .expect("splices");
+            assert_eq!(r.schedule().windows.len(), 1, "Sc{n} + one tenant");
+        }
     }
 
     #[test]

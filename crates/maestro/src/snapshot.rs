@@ -43,12 +43,12 @@
 //! fingerprint instead, so snapshots taken under modified energy models
 //! should not be shared across configurations.
 //!
-//! The package *interconnect* (`scar-mcm`'s `InterconnectSpec` / tiered
-//! `CommModel`) deliberately does **not** participate in this
-//! fingerprint: cost-database entries are compute-only — keyed on
-//! (chiplet class, layer, batch) and produced by the roofline model —
-//! while communication is priced per-schedule from the live topology at
-//! evaluation time. A snapshot is therefore valid under any fabric.
+//! The package *interconnect* (`scar-mcm`'s `InterconnectSpec`, which
+//! `McmConfig::transfer_with_delta` prices) deliberately does **not**
+//! participate in this fingerprint: cost-database entries are
+//! compute-only — keyed on (chiplet class, layer, batch) and produced by
+//! the roofline model — while communication is priced per-schedule from
+//! the live topology at evaluation time. A snapshot is therefore valid under any fabric.
 //! Schedule *results* do depend on comm pricing, which is why the
 //! interconnect folds into `scar-serve`'s schedule-cache fingerprints
 //! (when attached) rather than here.

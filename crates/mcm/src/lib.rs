@@ -11,12 +11,12 @@
 //! * [`McmConfig`] — the package: chiplets, topology, Table II NoP/DRAM
 //!   parameters, off-chip interface placement.
 //! * [`comm`] — the `Lat_com` communication model of §III-E (same-chiplet /
-//!   same-package / off-chip) plus a link-level congestion estimator for
-//!   the paper's δ term.
-//! * [`fabric`] — the tiered [`CommModel`] behind `Lat_com`: the
-//!   electrical `NopFabric` default, a wireless what-if fabric, and the
-//!   optional inter-MCM tier ([`InterconnectSpec`]) that fleet dispatch
-//!   prices stream migrations through.
+//!   same-package / off-chip), priced in one function,
+//!   [`McmConfig::transfer_with_delta`], under the electrical Table II
+//!   fabric or a wireless what-if one; the optional inter-MCM tier
+//!   ([`InterconnectSpec`]) that fleet dispatch prices stream migrations
+//!   through; and a link-level congestion estimator for the paper's δ
+//!   term.
 //! * [`templates`] — every MCM organization of Figure 6.
 //!
 //! # Example
@@ -37,12 +37,10 @@
 
 pub mod comm;
 mod config;
-pub mod fabric;
 pub mod parse;
 pub mod templates;
 mod topology;
 
-pub use comm::{CommCost, LinkLoads, Loc};
+pub use comm::{CommCost, FabricKind, FabricParams, InterconnectSpec, LinkLoads, Loc};
 pub use config::{McmConfig, NopConfig, OffchipConfig};
-pub use fabric::{CommModel, CommTier, FabricKind, FabricParams, InterconnectSpec};
 pub use topology::{ChipletId, NopTopology, TopologyError};

@@ -82,8 +82,8 @@ pub struct ServeConfig {
     /// Whether a cache miss that differs from the previous round only in
     /// batch sizes may reuse the previous segmentation/placement as a
     /// seeded candidate instead of running a full search (only effective
-    /// for schedulers that [`Scheduler::supports_reschedule`]; the
-    /// search-free baselines do not).
+    /// for schedulers whose [`Scheduler::reschedule`] answers; the
+    /// search-free baselines decline).
     pub incremental: bool,
     /// Staleness bound on incremental rescheduling: after this many
     /// consecutive seeded rounds the next miss runs a full search even if
@@ -794,12 +794,6 @@ impl<'a> ServeSim<'a> {
         ))
     }
 
-    /// True when this configuration can ever take the incremental path
-    /// (it is pointless for the search-free baselines).
-    fn incremental_enabled(&self) -> bool {
-        self.cfg.incremental && self.scheduler.supports_reschedule()
-    }
-
     /// The [`ScheduleRequest`] the loop issues for a live scenario: the
     /// simulator's MCM plus the configured metric, budget, and
     /// parallelism. Public so tools can persist the exact request of a
@@ -881,12 +875,10 @@ impl<'a> ServeSim<'a> {
                 let mut h = StableHasher::new();
                 "preempt".hash(&mut h);
                 base.hash(&mut h);
-                // the scheduler hashes only what its `preempt` actually
-                // reads from the cut instance (SCAR: the mined warm
-                // hints), so cuts differing in irrelevant detail share
-                // one cached splice
-                self.scheduler
-                    .preempt_fingerprint(&request, in_flight.schedule(), &mut h);
+                // a preempt may read all of the cut instance (SCAR: warm
+                // hints and the incumbent re-evaluation), so all of it
+                // keys the cached splice
+                in_flight.schedule().hash(&mut h);
                 h.finish()
             };
             if self.cfg.use_cache {
@@ -928,7 +920,7 @@ impl<'a> ServeSim<'a> {
             context,
         );
         // the batch-insensitive shape seeds/probes the incremental path
-        let shape = self.incremental_enabled().then_some(shape);
+        let shape = self.cfg.incremental.then_some(shape);
         if self.cfg.use_cache {
             if let Some(hit) = self.cache.get(key) {
                 probe.push_arg("hit", true);

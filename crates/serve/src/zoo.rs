@@ -155,11 +155,11 @@ impl PolicyRegistry {
 ///
 /// `search` accepts the artifact wire forms (`"BruteForce"`,
 /// `{"Evolutionary": {"population": 10, "generations": 4,
-/// "mutation_rate": 0.3}}`) plus the human aliases `"brute"` and
-/// `"evolutionary"` (default parameters). Omitted fields override
-/// nothing. The `SCAR_POLICY` environment knob, when set, takes
-/// precedence over the file's `policy` — config files configure,
-/// environments experiment.
+/// "mutation_rate": 0.3}}`) plus every name [`SearchKind::parse`]
+/// accepts (`"brute"`, `"evolutionary"`, … with default parameters).
+/// Omitted fields override nothing. The `SCAR_POLICY` environment knob,
+/// when set, takes precedence over the file's `policy` — config files
+/// configure, environments experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyFile {
     /// The registry name to build.
@@ -263,13 +263,7 @@ impl PolicyFile {
 /// Parses the `search` field (see [`PolicyFile`] for accepted forms).
 fn parse_search(val: &Value) -> Result<SearchKind, String> {
     if let Some(s) = val.as_str() {
-        return match s {
-            "BruteForce" | "brute" | "brute-force" => Ok(SearchKind::BruteForce),
-            "Evolutionary" | "evolutionary" => Ok(SearchKind::Evolutionary(EvoParams::default())),
-            other => Err(format!(
-                "unknown search driver {other:?} (try \"BruteForce\" or \"Evolutionary\")"
-            )),
-        };
+        return SearchKind::parse(s);
     }
     let object = val
         .as_object()
@@ -380,11 +374,22 @@ mod tests {
             }
             other => panic!("expected Evolutionary, got {other:?}"),
         }
-        let alias = PolicyFile::parse(r#"{ "policy": "SCAR", "search": "evolutionary" }"#).unwrap();
-        assert_eq!(
-            alias.overrides.search,
-            Some(SearchKind::Evolutionary(EvoParams::default()))
-        );
+        let evo = Some(SearchKind::Evolutionary(EvoParams::default()));
+        for (name, want) in [
+            ("BruteForce", Some(SearchKind::BruteForce)),
+            ("brute", Some(SearchKind::BruteForce)),
+            ("bruteforce", Some(SearchKind::BruteForce)),
+            ("brute-force", Some(SearchKind::BruteForce)),
+            ("BRUTE", Some(SearchKind::BruteForce)),
+            ("Evolutionary", evo.clone()),
+            ("evolutionary", evo.clone()),
+            ("evo", evo.clone()),
+            (" Evo ", evo),
+        ] {
+            let json = format!(r#"{{ "policy": "SCAR", "search": "{name}" }}"#);
+            let alias = PolicyFile::parse(&json).unwrap();
+            assert_eq!(alias.overrides.search, want, "{name:?}");
+        }
     }
 
     #[test]
@@ -400,7 +405,7 @@ mod tests {
             ),
             (
                 r#"{ "policy": "SCAR", "search": "annealing" }"#,
-                "unknown search driver",
+                "unknown search driver \"annealing\"",
             ),
             (
                 r#"{ "policy": "SCAR", "Nsplits": 1 }"#,

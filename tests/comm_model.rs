@@ -1,12 +1,12 @@
-//! Tiered-`CommModel` invariants: the fabric refactor of `Lat_com`
-//! (DESIGN.md §13) must be a pure *lift* of the historical inline math —
-//! identical numbers by default — while the new inter-MCM tier obeys
-//! conservation and determinism at fleet scale.
+//! `Lat_com` and the inter-MCM fabric (DESIGN.md §13):
+//! `McmConfig::transfer_with_delta` prices every on-package and off-chip
+//! case under the electrical or the wireless fabric, and the inter-MCM
+//! tier obeys conservation and determinism at fleet scale.
 //!
 //! * **Pinned reference vectors** — `transfer` / `transfer_with_delta` on
-//!   the datacenter 3×3 reproduce literal Table II floats that predate
-//!   the fabric abstraction.
-//! * **NopFabric neutrality** — attaching `InterconnectSpec::nop()`
+//!   the datacenter 3×3 reproduce literal Table II floats, and the
+//!   wireless what-if fabric reproduces its own literal prices exactly.
+//! * **Electrical neutrality** — attaching `InterconnectSpec::nop()`
 //!   changes *only* the inter-MCM tier: on-package and off-chip pricing
 //!   stay bit-identical to the spec-less config.
 //! * **Fabric-cost conservation** — a fleet's [`FabricRollup`] equals the
@@ -50,7 +50,7 @@ fn busy_cfg(parallelism: Parallelism) -> ServeConfig {
 }
 
 /// Literal `Lat_com` values computed by hand from §III-E and Table II,
-/// *before* the fabric refactor existed. The tiered `CommModel` must
+/// *before* the inter-MCM fabric existed. `transfer_with_delta` must
 /// reproduce them to the last representable bit worth of tolerance.
 #[test]
 fn lat_com_reference_vectors_are_pinned() {

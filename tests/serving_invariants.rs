@@ -176,9 +176,6 @@ fn splices_route_through_the_preempt_trait_entry() {
         ) -> Result<ScheduleResult, ScheduleError> {
             self.inner.schedule(session, request)
         }
-        fn supports_reschedule(&self) -> bool {
-            self.inner.supports_reschedule()
-        }
         fn reschedule(
             &self,
             session: &Session,
