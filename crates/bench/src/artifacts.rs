@@ -51,17 +51,23 @@ mod tests {
     #[test]
     fn sweep_roundtrips_through_json() {
         let session = Session::new();
+        let strategies = [Strategy::StandaloneNvd, Strategy::HetSides];
         let sweep = run_strategies(
             &session,
-            &[Strategy::StandaloneNvd, Strategy::HetSides],
+            &strategies,
             &Scenario::datacenter(1),
             Profile::Datacenter,
             &OptMetric::Edp,
             1,
             &quick_budget(),
         );
-        assert_eq!(sweep.len(), 2);
+        // one aligned slot per strategy, in the order given
+        assert_eq!(sweep.len(), strategies.len());
+        for (s, r) in strategies.iter().zip(&sweep) {
+            assert_eq!(r.as_ref().expect("both fit Sc1").name, s.name());
+        }
         let path = std::env::temp_dir().join("scar_bench_artifacts_test.json");
+        let sweep: Vec<_> = sweep.into_iter().flatten().collect();
         write_sweep(&path, &sweep).unwrap();
         let back = ScheduleArtifact::load_all(&path).unwrap();
         std::fs::remove_file(&path).ok();

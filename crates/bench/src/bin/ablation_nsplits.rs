@@ -4,15 +4,15 @@
 //! The paper reports a ~1.25× average EDP improvement rate up to
 //! nsplits = 4 and diminishing returns beyond.
 
-use scar_bench::strategy::{default_budget, Strategy};
+use scar_bench::strategy::Strategy;
 use scar_bench::table::Table;
-use scar_core::{OptMetric, Session};
+use scar_core::{OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
 fn main() {
     let sc = Scenario::datacenter(4);
-    let budget = default_budget();
+    let budget = SearchBudget::default();
     let session = Session::new();
     println!("== Ablation: nsplits sweep (Sc4, Het-Sides, EDP search) ==\n");
     let mut t = Table::new(vec![

@@ -4,16 +4,15 @@
 //! The paper reports 21.8% speedup and 8.6% energy reduction for the
 //! first-fit greedy packing (Algorithm 1) over uniform distribution.
 
-use scar_bench::strategy::default_budget;
 use scar_bench::table::Table;
-use scar_core::{OptMetric, PackingRule, Scar, ScheduleRequest, Scheduler, Session};
+use scar_core::{OptMetric, PackingRule, Scar, ScheduleRequest, Scheduler, SearchBudget, Session};
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_workloads::Scenario;
 
 fn main() {
     let sc = Scenario::datacenter(4);
     let mcm = het_sides_3x3(Profile::Datacenter);
-    let budget = default_budget();
+    let budget = SearchBudget::default();
     let session = Session::new();
     let request = ScheduleRequest::new(sc.clone(), mcm.clone())
         .metric(OptMetric::Edp)

@@ -35,30 +35,12 @@
 //! cargo run --release -p scar-bench --bin bench_fleet
 //! ```
 //!
-//! Environment knobs:
-//!
-//! * `SCAR_FLEET_SIZE` — replica count (default 4).
-//! * `SCAR_FLEET_HET` — `0` makes the fleet homogeneous (all Het-Sides);
-//!   default `1` cycles the four 3×3 strategies.
-//! * `SCAR_DISPATCH` — run a single policy (`rr`, `least`, `deadline`,
-//!   `affinity[:lag_s][:rehome_every]`) instead of the full sweep; the
-//!   affinity-vs-RR gates only apply to the full sweep.
-//! * `SCAR_FABRIC` — `none`, `nop`, or `wireless`: run that single
-//!   fabric variant instead of the default `none` + `nop` sweep.
-//! * `SCAR_REHOME` — cache-affinity re-homing epoch in routed arrivals
-//!   (default 0 = static homes; applies to every variant's affinity run).
-//! * `SCAR_FLEET_HORIZON_S` — override the traffic horizon (the ≥1M
-//!   arrival floor is only asserted at the default horizon).
-//! * `SCAR_FLEET_BASELINE` — path to a committed `BENCH_fleet.json`; the
-//!   freshly written file must match it byte-for-byte once `wall_ms`
-//!   lines are stripped from both (the CI drift gate).
-//! * `SCAR_PERF_GATE` — additionally assert each policy's wall stays
-//!   under [`WALL_CEILING_S`].
-//! * `SCAR_TRACE` — record the span timeline (fleet.run → fleet.dispatch /
-//!   fleet.migrate / fleet.replica → per-round serving spans) and write it
-//!   to `TRACE_bench_fleet.json`. Trace runs drop to the `Serial` pass
-//!   only so the timeline holds one run per policy.
+//! Knobs: the `bench_fleet` rows of the README's environment-knob
+//! table. A single `SCAR_DISPATCH` policy skips the affinity-vs-RR
+//! gates, and a `SCAR_TRACE` run keeps only the `Serial` pass so the
+//! timeline (`TRACE_bench_fleet.json`) holds one run per policy.
 
+use scar_bench::Knobs;
 use scar_core::Parallelism;
 use scar_mcm::templates::Profile;
 use scar_mcm::InterconnectSpec;
@@ -76,25 +58,6 @@ const DEFAULT_HORIZON_S: f64 = 7500.0;
 /// generous against CI jitter: the committed run finishes the full sweep
 /// well under a quarter of this.
 const WALL_CEILING_S: f64 = 300.0;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) if v.trim().is_empty() => default,
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-            eprintln!("{name}={v:?} is not a count");
-            std::process::exit(2);
-        }),
-    }
-}
-
-fn env_flag(name: &str, default: bool) -> bool {
-    match std::env::var(name).as_deref() {
-        Err(_) => default,
-        Ok("0") | Ok("") => false,
-        Ok(_) => true,
-    }
-}
 
 /// Fabric label used in headings and the JSON artifact.
 fn fabric_label(fabric: &Option<InterconnectSpec>) -> &'static str {
@@ -159,50 +122,41 @@ fn policy_json(p: &PolicyRun, fabric: &Option<InterconnectSpec>) -> String {
 }
 
 fn main() {
-    let fleet_size = env_usize("SCAR_FLEET_SIZE", 4).max(1);
-    let heterogeneous = env_flag("SCAR_FLEET_HET", true);
-    let rehome_every = env_usize("SCAR_REHOME", 0);
-    let (horizon_s, default_horizon) = match std::env::var("SCAR_FLEET_HORIZON_S") {
-        Err(_) => (DEFAULT_HORIZON_S, true),
-        Ok(v) => match v.trim().parse::<f64>() {
-            Ok(h) if h > 0.0 && h.is_finite() => (h, false),
-            _ => {
-                eprintln!("SCAR_FLEET_HORIZON_S={v:?} is not a positive horizon in seconds");
-                std::process::exit(2);
-            }
-        },
-    };
-    let kinds: Vec<DispatchKind> = match std::env::var("SCAR_DISPATCH") {
-        Err(_) => DispatchKind::builtins(),
-        Ok(spec) => vec![DispatchKind::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("SCAR_DISPATCH: {e}");
-            std::process::exit(2);
-        })],
-    }
-    .into_iter()
-    .map(|kind| match kind {
-        // SCAR_REHOME upgrades affinity's default (static) homes; an
-        // explicit `affinity:lag:epoch` spec already carries its own
-        DispatchKind::CacheAffinity {
-            max_lag_s,
-            rehome_every: 0,
-        } => DispatchKind::CacheAffinity {
-            max_lag_s,
-            rehome_every,
-        },
-        other => other,
-    })
-    .collect();
+    let knobs = Knobs::of("bench_fleet");
+    let fleet_size = knobs
+        .parse("SCAR_FLEET_SIZE", str::parse::<usize>)
+        .unwrap_or(4)
+        .max(1);
+    let heterogeneous = knobs.text("SCAR_FLEET_HET") != Some("0");
+    let rehome_every = knobs.parse("SCAR_REHOME", str::parse).unwrap_or(0);
+    let horizon = knobs.parse("SCAR_FLEET_HORIZON_S", |v| match v.parse::<f64>() {
+        Ok(h) if h > 0.0 && h.is_finite() => Ok(h),
+        _ => Err("not a positive horizon in seconds"),
+    });
+    let (horizon_s, default_horizon) = (horizon.unwrap_or(DEFAULT_HORIZON_S), horizon.is_none());
+    let kinds: Vec<DispatchKind> = knobs
+        .parse("SCAR_DISPATCH", DispatchKind::parse)
+        .map_or_else(DispatchKind::builtins, |kind| vec![kind])
+        .into_iter()
+        .map(|kind| match kind {
+            // SCAR_REHOME upgrades affinity's default (static) homes; an
+            // explicit `affinity:lag:epoch` spec already carries its own
+            DispatchKind::CacheAffinity {
+                max_lag_s,
+                rehome_every: 0,
+            } => DispatchKind::CacheAffinity {
+                max_lag_s,
+                rehome_every,
+            },
+            other => other,
+        })
+        .collect();
     let full_sweep = kinds.len() == DispatchKind::builtins().len();
-    let fabrics: Vec<Option<InterconnectSpec>> = match std::env::var("SCAR_FABRIC") {
-        Err(_) => vec![None, Some(InterconnectSpec::nop())],
-        Ok(spec) => vec![InterconnectSpec::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("SCAR_FABRIC: {e}");
-            std::process::exit(2);
-        })],
-    };
+    let fabrics: Vec<Option<InterconnectSpec>> = knobs
+        .parse("SCAR_FABRIC", InterconnectSpec::parse)
+        .map_or_else(|| vec![None, Some(InterconnectSpec::nop())], |f| vec![f]);
 
-    let telemetry = Telemetry::from_env();
+    let telemetry = Telemetry::enabled(knobs.flag("SCAR_TRACE"), knobs.flag("SCAR_METRICS"));
     // burst-reshaped AR/VR traffic (same mean rates, Markov-modulated
     // on/off arrivals, per-frame deadlines kept): queue shapes vary round
     // to round, so schedule-cache warmth is earned, not saturated — the
@@ -377,7 +331,7 @@ fn main() {
             }
         }
     }
-    if env_flag("SCAR_PERF_GATE", false) {
+    if knobs.flag("SCAR_PERF_GATE") {
         for (fabric, runs) in &sweeps {
             for run in runs {
                 assert!(
@@ -425,7 +379,7 @@ fn main() {
     std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
     println!("wrote BENCH_fleet.json");
 
-    if let Ok(baseline) = std::env::var("SCAR_FLEET_BASELINE") {
+    if let Some(baseline) = knobs.text("SCAR_FLEET_BASELINE") {
         // wall-clock lines are machine noise; everything else must match
         let strip = |s: &str| {
             s.lines()
@@ -433,7 +387,7 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let want = std::fs::read_to_string(&baseline)
+        let want = std::fs::read_to_string(baseline)
             .unwrap_or_else(|e| panic!("SCAR_FLEET_BASELINE {baseline}: {e}"));
         assert_eq!(
             strip(&json),

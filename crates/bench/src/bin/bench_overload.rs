@@ -31,14 +31,10 @@
 //! cargo run --release -p scar-bench --bin bench_overload
 //! ```
 //!
-//! `SCAR_PERF_GATE=1` additionally asserts the perf acceptance: preemption
-//! wall ≤ 2× boundary-only, at a deadline-miss rate no worse than the
-//! committed baseline.
-//!
-//! `SCAR_TRACE=1` additionally records the span timeline of both runs and
-//! writes it to `TRACE_bench_overload.json` (Chrome `trace_event`;
-//! observational only — the reports and the JSON results are unchanged).
+//! Knobs: the `bench_overload` rows of the README's environment-knob
+//! table. A `SCAR_TRACE` run writes `TRACE_bench_overload.json`.
 
+use scar_bench::Knobs;
 use scar_mcm::templates::{het_sides_3x3, Profile};
 use scar_serve::{ServeConfig, ServeReport, ServeSim, TrafficMix, TrafficShape};
 use scar_telemetry::Telemetry;
@@ -103,6 +99,7 @@ fn summary(name: &str, m: &ModeRun) -> String {
 }
 
 fn main() {
+    let knobs = Knobs::of("bench_overload");
     let horizon_s = 2.0;
     let mcm = het_sides_3x3(Profile::ArVr);
     let mix = TrafficMix::arvr(0x0B57).reshaped(TrafficShape::Burst);
@@ -114,7 +111,7 @@ fn main() {
 
     // the registry is always on (phase walls go into the JSON); the
     // timeline only when SCAR_TRACE asks for it
-    let telemetry = Telemetry::enabled(Telemetry::from_env().trace_enabled(), true);
+    let telemetry = Telemetry::enabled(knobs.flag("SCAR_TRACE"), true);
     let reps = if telemetry.trace_enabled() {
         1
     } else {
@@ -217,7 +214,7 @@ fn main() {
     // the perf gate (opt-in for CI): splice fast path keeps preemption
     // within 2× boundary-only wall, at no quality regression vs the
     // committed baseline
-    if std::env::var("SCAR_PERF_GATE").is_ok_and(|v| !matches!(v.trim(), "" | "0")) {
+    if knobs.flag("SCAR_PERF_GATE") {
         assert!(
             wall_ratio <= 2.0,
             "perf gate: preemption wall {:.1} ms is {wall_ratio:.2}× boundary-only {:.1} ms (limit 2×)",

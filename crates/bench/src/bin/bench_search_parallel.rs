@@ -12,8 +12,7 @@
 //!
 //! On a multi-core runner (≥ 4 hardware threads) the 6×6 evolutionary
 //! search must be ≥ 2× faster under `Auto` — the bin *asserts* it, so CI
-//! catches a change that silently serializes evaluation (set
-//! `SCAR_BENCH_NO_SPEEDUP_ASSERT=1` to measure without the gate). On a
+//! catches a change that silently serializes evaluation. On a
 //! single-core host both timings are the same modulo noise (the engine
 //! never spawns more workers than threads) and the gate is skipped.
 
@@ -113,13 +112,11 @@ fn main() {
             case.name,
             serial.candidates().len(),
         );
-        let gate_active = case.gated
-            && hardware_threads >= SPEEDUP_GATE_THREADS
-            && std::env::var_os("SCAR_BENCH_NO_SPEEDUP_ASSERT").is_none();
+        let gate_active = case.gated && hardware_threads >= SPEEDUP_GATE_THREADS;
         assert!(
             !gate_active || speedup >= MIN_SPEEDUP,
             "{}: speedup {speedup:.2}x is below the {MIN_SPEEDUP}x acceptance bar on a \
-             {hardware_threads}-thread host (SCAR_BENCH_NO_SPEEDUP_ASSERT=1 to bypass)",
+             {hardware_threads}-thread host",
             case.name,
         );
         rows.push(format!(

@@ -14,12 +14,10 @@
 //!
 //! Results land in `BENCH_throughput.json`. The acceptance gate asserts
 //! every mix clears a schedules/s floor — deliberately loose so CI
-//! machines of very different speeds all pass, tightenable via
-//! `SCAR_MIN_SCHEDULES_PER_SEC`:
+//! machines of very different speeds all pass:
 //!
 //! ```sh
 //! cargo run --release -p scar-bench --bin bench_throughput
-//! SCAR_MIN_SCHEDULES_PER_SEC=50 cargo run --release -p scar-bench --bin bench_throughput
 //! ```
 //!
 //! The virtual-time serving *reports* are deterministic; the throughput
@@ -31,23 +29,16 @@ use scar_serve::{ServeConfig, ServeSim, TrafficMix};
 use scar_telemetry::Telemetry;
 use std::fmt::Write as _;
 
-/// The default schedules/s floor. A single-core CI box measures ~3.3k/s
+/// The schedules/s floor. A single-core CI box measures ~3.3k/s
 /// on the slowest mix (datacenter Poisson, cold pass included); 200/s is
 /// a 16× margin below that — tight enough to catch real collapses (the
 /// schedule cache, the splice fast path, or batched evaluation silently
 /// disabled all cost an order of magnitude), loose enough for machines
 /// of very different speeds.
-const DEFAULT_FLOOR: f64 = 200.0;
+const FLOOR: f64 = 200.0;
 
 fn main() {
     let horizon_s = 2.0;
-    let floor: f64 = match std::env::var("SCAR_MIN_SCHEDULES_PER_SEC") {
-        Ok(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("SCAR_MIN_SCHEDULES_PER_SEC={v:?} is not a rate");
-            std::process::exit(2);
-        }),
-        Err(_) => DEFAULT_FLOOR,
-    };
 
     let mut entries = String::new();
     let mut failures = Vec::new();
@@ -85,9 +76,9 @@ fn main() {
             cold.full_searches,
             warm.cache.hits,
         );
-        if schedules_per_sec < floor {
+        if schedules_per_sec < FLOOR {
             failures.push(format!(
-                "{}: {schedules_per_sec:.2} schedules/s below the {floor} floor",
+                "{}: {schedules_per_sec:.2} schedules/s below the {FLOOR} floor",
                 mix.name
             ));
         }
@@ -108,7 +99,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"horizon_s\": {horizon_s},\n  \"floor_schedules_per_sec\": {floor},\n  \
+        "{{\n  \"horizon_s\": {horizon_s},\n  \"floor_schedules_per_sec\": {FLOOR},\n  \
          \"results\": {{\n{entries}\n  }}\n}}\n"
     );
     std::fs::write("BENCH_throughput.json", json).expect("write BENCH_throughput.json");
@@ -119,5 +110,5 @@ fn main() {
         "scheduling throughput below floor:\n{}",
         failures.join("\n")
     );
-    println!("acceptance: every mix clears {floor} schedules/s: ok");
+    println!("acceptance: every mix clears {FLOOR} schedules/s: ok");
 }

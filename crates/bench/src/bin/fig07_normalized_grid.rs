@@ -6,24 +6,20 @@
 //! criteria" plots.
 
 use scar_bench::strategy::{quick_budget, run_strategies, Strategy};
-use scar_bench::table::Table;
+use scar_bench::table::{relative_cells, Table};
 use scar_core::{EvalTotals, OptMetric, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
-
-fn metric_value(t: &EvalTotals, which: &str) -> f64 {
-    match which {
-        "latency" => t.latency_s,
-        "energy" => t.energy_j,
-        _ => t.edp(),
-    }
-}
 
 fn main() {
     let budget = quick_budget();
     let session = Session::new();
     let strategies = Strategy::table_iv();
     let scenarios = Scenario::all_datacenter();
+    let nvd = strategies
+        .iter()
+        .position(|&s| s == Strategy::StandaloneNvd)
+        .expect("Table IV includes Stand.(NVD)");
 
     for (panel_row, metric) in [
         ("A", OptMetric::Latency),
@@ -31,9 +27,9 @@ fn main() {
         ("C", OptMetric::Edp),
     ] {
         // run once per scenario; evaluate under all three axes
-        let mut per_sc: Vec<Vec<(String, EvalTotals)>> = Vec::new();
-        for sc in &scenarios {
-            per_sc.push(
+        let grid: Vec<_> = scenarios
+            .iter()
+            .map(|sc| {
                 run_strategies(
                     &session,
                     &strategies,
@@ -43,12 +39,16 @@ fn main() {
                     4,
                     &budget,
                 )
-                .into_iter()
-                .map(|r| (r.name, r.result.total()))
-                .collect(),
-            );
-        }
-        for (panel_col, eval_axis) in ["latency", "energy", "edp"].iter().enumerate() {
+            })
+            .collect();
+        for (panel_col, (eval_axis, value)) in [
+            ("latency", (|t| t.latency_s) as fn(&EvalTotals) -> f64),
+            ("energy", |t| t.energy_j),
+            ("edp", EvalTotals::edp),
+        ]
+        .into_iter()
+        .enumerate()
+        {
             println!(
                 "== Figure 7-{panel_row}{} : {} search, {} evaluation (normalized by Stand.(NVD)) ==",
                 panel_col + 1,
@@ -60,23 +60,12 @@ fn main() {
                     .chain((1..=5).map(|i| format!("Sc{i}")))
                     .collect(),
             );
-            for strat in &strategies {
-                let mut row = vec![strat.name().to_string()];
-                for sc_results in &per_sc {
-                    let base = sc_results
-                        .iter()
-                        .find(|(n, _)| n == "Stand.(NVD)")
-                        .map(|(_, t)| metric_value(t, eval_axis));
-                    let mine = sc_results
-                        .iter()
-                        .find(|(n, _)| n == strat.name())
-                        .map(|(_, t)| metric_value(t, eval_axis));
-                    row.push(match (mine, base) {
-                        (Some(m), Some(b)) if b > 0.0 => format!("{:.2}", m / b),
-                        _ => "-".into(),
-                    });
-                }
-                t.row(row);
+            for (k, strat) in strategies.iter().enumerate() {
+                t.row(
+                    std::iter::once(strat.name().to_string())
+                        .chain(relative_cells(&grid, k, nvd, |r| value(&r.result.total())))
+                        .collect(),
+                );
             }
             println!("{t}");
         }

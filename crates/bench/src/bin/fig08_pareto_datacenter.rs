@@ -33,11 +33,7 @@ fn main() {
                     clouds.push((s.name().to_string(), r.candidates().to_vec()));
                 }
             }
-            let series: Vec<(&str, &[CandidatePoint])> = clouds
-                .iter()
-                .map(|(n, pts)| (n.as_str(), pts.as_slice()))
-                .collect();
-            println!("{}", ascii_scatter(&series, 72, 16));
+            println!("{}", ascii_scatter(&clouds, 72, 16));
             for (name, pts) in &clouds {
                 let front = pareto_front(pts);
                 println!("{name}: {} candidates, Pareto front:", pts.len());

@@ -2,10 +2,10 @@
 //! Scenario 4 (EDP search): per-window chiplet allocations and the
 //! end-to-end latency breakdown per model.
 
-use scar_bench::strategy::{default_budget, Strategy};
+use scar_bench::strategy::Strategy;
 use scar_bench::table::Table;
 use scar_core::baselines::Standalone;
-use scar_core::{OptMetric, ScheduleRequest, Scheduler, Session};
+use scar_core::{OptMetric, ScheduleRequest, Scheduler, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
@@ -19,7 +19,7 @@ fn main() {
             Profile::Datacenter,
             OptMetric::Edp,
             4,
-            &default_budget(),
+            &SearchBudget::default(),
         )
         .expect("Sc4 on Het-Sides is feasible");
 

@@ -25,11 +25,7 @@ fn main() {
                 clouds.push((s.name().to_string(), r.candidates().to_vec()));
             }
         }
-        let series: Vec<(&str, &[CandidatePoint])> = clouds
-            .iter()
-            .map(|(n, pts)| (n.as_str(), pts.as_slice()))
-            .collect();
-        println!("{}", ascii_scatter(&series, 72, 14));
+        println!("{}", ascii_scatter(&clouds, 72, 14));
         for (name, pts) in &clouds {
             let front = pareto_front(pts);
             let best = front.iter().map(|p| p.edp()).fold(f64::INFINITY, f64::min);

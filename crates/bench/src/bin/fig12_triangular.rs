@@ -4,14 +4,14 @@
 //! Demonstrates §V-E's topology generalization: SCAR only needs adjacency-
 //! matrix connectivity.
 
-use scar_bench::strategy::{default_budget, run_strategies, Strategy};
-use scar_bench::table::Table;
-use scar_core::{OptMetric, Session};
+use scar_bench::strategy::{run_strategies, Strategy};
+use scar_bench::table::{relative_cells, Table};
+use scar_core::{EvalTotals, OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
 fn main() {
-    let budget = default_budget();
+    let budget = SearchBudget::default();
     let session = Session::new();
     let mut strategies = vec![Strategy::StandaloneNvd];
     strategies.extend(Strategy::triangular());
@@ -24,45 +24,24 @@ fn main() {
         "Sc3 rel Lat".into(),
         "Sc4 rel Lat".into(),
     ]);
-    let mut cols: Vec<Vec<(String, scar_core::EvalTotals)>> = Vec::new();
-    for scn in [3usize, 4] {
-        let sc = Scenario::datacenter(scn);
-        cols.push(
+    let grid: Vec<_> = [3usize, 4]
+        .into_iter()
+        .map(|scn| {
             run_strategies(
                 &session,
                 &strategies,
-                &sc,
+                &Scenario::datacenter(scn),
                 Profile::Datacenter,
                 &OptMetric::Edp,
                 4,
                 &budget,
             )
-            .into_iter()
-            .map(|r| (r.name, r.result.total()))
-            .collect(),
-        );
-    }
-    for strat in &strategies {
+        })
+        .collect();
+    for (k, strat) in strategies.iter().enumerate() {
         let mut row = vec![strat.name().to_string()];
-        for f in [
-            Box::new(|t: &scar_core::EvalTotals| t.edp())
-                as Box<dyn Fn(&scar_core::EvalTotals) -> f64>,
-            Box::new(|t: &scar_core::EvalTotals| t.latency_s),
-        ] {
-            for col in &cols {
-                let base = col
-                    .iter()
-                    .find(|(n, _)| n == "Stand.(NVD)")
-                    .map(|(_, t)| f(t));
-                let mine = col
-                    .iter()
-                    .find(|(n, _)| n == strat.name())
-                    .map(|(_, t)| f(t));
-                row.push(match (mine, base) {
-                    (Some(m), Some(b)) if b > 0.0 => format!("{:.2}", m / b),
-                    _ => "-".into(),
-                });
-            }
+        for value in [EvalTotals::edp, |t: &EvalTotals| t.latency_s] {
+            row.extend(relative_cells(&grid, k, 0, |r| value(&r.result.total())));
         }
         t.row(row);
     }

@@ -4,15 +4,15 @@
 //! Het-Cross.
 
 use scar_bench::pareto::ascii_scatter;
-use scar_bench::strategy::{default_budget, Strategy};
+use scar_bench::strategy::Strategy;
 use scar_bench::table::Table;
-use scar_core::{pareto_front, CandidatePoint, OptMetric, Session};
+use scar_core::{pareto_front, CandidatePoint, OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
 fn main() {
     let sc = Scenario::datacenter(4);
-    let budget = default_budget();
+    let budget = SearchBudget::default();
     let session = Session::new();
     for nsplits in [2usize, 3] {
         println!("== Figure 13: 6x6 MCM, EDP search, nsplits={nsplits} ==\n");
@@ -46,11 +46,7 @@ fn main() {
             }
         }
         println!("{t}");
-        let series: Vec<(&str, &[CandidatePoint])> = clouds
-            .iter()
-            .map(|(n, p)| (n.as_str(), p.as_slice()))
-            .collect();
-        println!("{}", ascii_scatter(&series, 72, 14));
+        println!("{}", ascii_scatter(&clouds, 72, 14));
         for (name, pts) in &clouds {
             println!("{name}: Pareto front size {}", pareto_front(pts).len());
         }

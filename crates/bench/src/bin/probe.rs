@@ -27,7 +27,7 @@ fn main() {
             4,
             &quick_budget(),
         );
-        for r in &results {
+        for r in results.iter().flatten() {
             let t = r.result.total();
             println!(
                 "  {:14} lat={:10.4}s energy={:10.4}J edp={:12.5}",

@@ -19,12 +19,12 @@
 //! SCAR_REPLAY_FABRIC=wireless cargo run --release -p scar-bench --bin replay -- ARTIFACT_table04_edp.json
 //! ```
 //!
+//! Knobs: the `replay` rows of the README's environment-knob table.
+//!
 //! Artifacts record the answering scheduler's *name and configuration*
 //! (window splits, search driver); replay reconstructs the recorded
-//! configuration automatically. `SCAR_NSPLITS` / `SCAR_SEARCH` (`brute`
-//! default, `evolutionary` for 6×6 sweeps) remain as fallbacks for
-//! artifacts recorded before configurations were persisted — a recorded
-//! configuration always wins over these knobs.
+//! configuration automatically, and it always wins over the
+//! `SCAR_NSPLITS` / `SCAR_SEARCH` fallbacks for older artifacts.
 //!
 //! Exit code 1 when replaying **without** an MCM override and any
 //! artifact fails to reproduce exactly — or could not be replayed at all
@@ -43,6 +43,7 @@
 //! unchanged-model regressions.
 
 use scar_bench::replay::{band_violations, replay_artifacts, ReplayOptions, ToleranceBand};
+use scar_bench::Knobs;
 use scar_core::{ScheduleArtifact, SearchKind, Session};
 use scar_maestro::Dataflow;
 use scar_mcm::templates::{self, Profile};
@@ -71,89 +72,51 @@ fn mcm_by_name(spec: &str) -> Option<McmConfig> {
 }
 
 fn main() -> ExitCode {
+    let knobs = Knobs::of("replay");
     let paths: Vec<String> = std::env::args().skip(1).collect();
     if paths.is_empty() {
         eprintln!("usage: replay <ARTIFACT_*.json> [more artifact files…]");
-        eprintln!(
-            "env: SCAR_COST_DB=<snapshot> (warm-start costs), \
-             SCAR_REPLAY_MCM=<template[:profile]>, \
-             SCAR_REPLAY_FABRIC=none|nop|wireless, SCAR_NSPLITS=<n>, \
-             SCAR_SEARCH=brute|evolutionary, SCAR_REPLAY_BAND=<frac> \
-             (±band gate instead of exactness)"
-        );
+        eprintln!("knobs: the `replay` rows of the README's environment-knob table");
         return ExitCode::from(2);
     }
 
-    let band: Option<ToleranceBand> = match std::env::var("SCAR_REPLAY_BAND") {
-        Ok(f) => match f.parse::<f64>() {
-            Ok(frac) if frac >= 0.0 && frac.is_finite() => Some(ToleranceBand::uniform(frac)),
-            _ => {
-                eprintln!("SCAR_REPLAY_BAND={f:?} is not a non-negative fraction");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => None,
+    let band = knobs.parse("SCAR_REPLAY_BAND", |f| match f.parse::<f64>() {
+        Ok(frac) if frac >= 0.0 && frac.is_finite() => Ok(ToleranceBand::uniform(frac)),
+        _ => Err("not a non-negative fraction"),
+    });
+
+    let mut options = ReplayOptions {
+        mcm_override: knobs.parse("SCAR_REPLAY_MCM", |spec| {
+            mcm_by_name(spec).ok_or(
+                "not a known template (simba_shi, simba_nvd, het_cb, het_sides, het_t, \
+                 het_cross; optional :datacenter/:arvr suffix)",
+            )
+        }),
+        fabric_override: knobs.parse("SCAR_REPLAY_FABRIC", scar_mcm::InterconnectSpec::parse),
+        ..ReplayOptions::default()
     };
-
-    let mut options = ReplayOptions::default();
-    if let Ok(spec) = std::env::var("SCAR_REPLAY_MCM") {
-        match mcm_by_name(&spec) {
-            Some(mcm) => {
-                println!("re-targeting every request at {mcm}");
-                options.mcm_override = Some(mcm);
-            }
-            None => {
-                eprintln!(
-                    "SCAR_REPLAY_MCM={spec:?} is not a known template \
-                     (simba_shi, simba_nvd, het_cb, het_sides, het_t, het_cross; \
-                     optional :datacenter/:arvr suffix)"
-                );
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(mcm) = &options.mcm_override {
+        println!("re-targeting every request at {mcm}");
     }
-
-    if let Ok(spec) = std::env::var("SCAR_REPLAY_FABRIC") {
-        match scar_mcm::InterconnectSpec::parse(&spec) {
-            Ok(fabric) => {
-                println!(
-                    "re-pricing every request under the {} fabric",
-                    fabric.as_ref().map_or("none (stripped)", |f| f.label())
-                );
-                options.fabric_override = Some(fabric);
-            }
-            Err(e) => {
-                eprintln!("SCAR_REPLAY_FABRIC: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(fabric) = &options.fabric_override {
+        println!(
+            "re-pricing every request under the {} fabric",
+            fabric.as_ref().map_or("none (stripped)", |f| f.label())
+        );
     }
-
     // fallback knobs for artifacts recorded before scheduler
     // configurations were persisted (a recorded configuration always
     // overrides these, field by field — see `replay_artifacts`)
-    if let Ok(n) = std::env::var("SCAR_NSPLITS") {
-        match n.parse() {
-            Ok(n) => options.serve_config.nsplits = n,
-            Err(_) => {
-                eprintln!("SCAR_NSPLITS={n:?} is not a window-split count");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(nsplits) = knobs.parse("SCAR_NSPLITS", str::parse) {
+        options.serve_config.nsplits = nsplits;
     }
-    if let Ok(s) = std::env::var("SCAR_SEARCH") {
-        options.serve_config.search = match SearchKind::parse(&s) {
-            Ok(kind) => kind,
-            Err(e) => {
-                eprintln!("SCAR_SEARCH: {e}");
-                return ExitCode::from(2);
-            }
-        };
+    if let Some(search) = knobs.parse("SCAR_SEARCH", SearchKind::parse) {
+        options.serve_config.search = search;
     }
 
     let session = Session::new();
-    if let Ok(snapshot) = std::env::var("SCAR_COST_DB") {
-        match session.load_costs(&snapshot) {
+    if let Some(snapshot) = knobs.text("SCAR_COST_DB") {
+        match session.load_costs(snapshot) {
             Ok(n) => {
                 println!("cost database warm-started from {snapshot}: {n} entries, 0 evaluations")
             }

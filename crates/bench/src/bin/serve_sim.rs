@@ -13,57 +13,13 @@
 //! cargo run --release -p scar-bench --bin serve_sim
 //! ```
 //!
-//! Environment knobs:
-//!
-//! * `SCAR_THREADS` — candidate-evaluation worker pool: unset → `Auto`,
-//!   `serial` → no pool, `N` → `Fixed(N)`. Wall-clock only; reports are
-//!   bit-identical across settings.
-//! * `SCAR_POLICY` — primary serving policy, resolved through the
-//!   zoo [`PolicyRegistry`] (default `SCAR`; also `Standalone`,
-//!   `NN-baton`, `NSGA-SCAR`, `Merged-Pipeline`, `SCAR-splice` — run
-//!   the `zoo` bin for the catalog).
-//! * `SCAR_POLICY_FILE` — path to a JSON policy file (`{"policy": ...,
-//!   "nsplits": ..., "search": ...}`, see [`scar_serve::PolicyFile`])
-//!   naming the policy and its scheduler overrides. Layered *under* the
-//!   env knobs: `SCAR_POLICY` / `SCAR_NSPLITS`, when set, win over the
-//!   file's choices.
-//! * `SCAR_ADMISSION` — admission policy: `accept` (default),
-//!   `deadline` (deadline-feasibility via the cost-DB probe), or
-//!   `shed[:N]` (per-stream queue bound, default 8).
-//! * `SCAR_TRAFFIC_SHAPE` — re-express both mixes' arrivals at the same
-//!   mean rates: `poisson`, `burst` (Markov-modulated on/off), or
-//!   `diurnal` (sinusoidal rate). Unset keeps the native shapes
-//!   (AR/VR frame clocks + datacenter Poisson).
-//! * `SCAR_PREEMPT` — `1` enables mid-window preemption (arrivals cut the
-//!   in-flight schedule at the next window boundary; the remainder is
-//!   respliced). Default off: boundary-only rescheduling.
-//! * `SCAR_NSPLITS` — SCAR window splits per live scenario (default 1;
-//!   more splits → shorter windows → more preemption opportunities).
-//! * `SCAR_COST_DB` — persist path for the MAESTRO cost database: loaded
-//!   (if present) before serving, saved after each run. A second process
-//!   pointed at the same path serves the same traffic with **zero** cost
-//!   evaluations and byte-identical reports.
-//! * `SCAR_COST_DB_MAX` — entry bound for the persisted cost database:
-//!   before each save, a least-recently-used compaction pass evicts down
-//!   to this many entries (unset → never evict). Only affects what is
-//!   *persisted/kept cached* — costs are re-evaluated on demand, so
-//!   schedules and reports are unchanged.
-//! * `SCAR_EXPECT_ZERO_EVALS` — when set (CI's warm pass), assert that
-//!   every simulation performed zero MAESTRO evaluations.
-//! * `SCAR_EXPECT_PREEMPTIONS` — when set (CI's overload smoke), assert
-//!   that the primary policy performed at least one mid-window preemption
-//!   across the simulated mixes.
-//! * `SCAR_TRACE` — `1` records a span timeline for the primary policy's
-//!   simulations and writes it as Chrome `trace_event` JSON to
-//!   `TRACE_serve_sim.json` (loadable in Perfetto). Observational only:
-//!   the serving reports stay byte-identical with tracing on or off.
-//! * `SCAR_METRICS` — `1` records the counter/gauge/histogram registry
-//!   and writes it to `METRICS_serve_sim.json`.
+//! Knobs: the `serve_sim` rows of the README's environment-knob table.
 //!
 //! Besides stdout (which includes wall-clock timings), the deterministic
 //! serving reports are written to `REPORT_serve_sim.txt` so warm and cold
 //! runs can be diffed byte-for-byte.
 
+use scar_bench::Knobs;
 use scar_core::baselines::Standalone;
 use scar_core::Parallelism;
 use scar_mcm::templates::{het_sides_3x3, Profile};
@@ -73,133 +29,70 @@ use scar_serve::{
 use scar_telemetry::Telemetry;
 use std::fmt::Write as _;
 
-/// Parses `SCAR_THREADS` into a [`Parallelism`]; unset → `Auto`, an
-/// unparsable value aborts rather than silently unpinning the run.
-fn parallelism_from_env() -> Parallelism {
-    let Ok(v) = std::env::var("SCAR_THREADS") else {
-        return Parallelism::Auto;
-    };
-    let v = v.trim();
-    if v.eq_ignore_ascii_case("serial") {
-        return Parallelism::Serial;
-    }
-    if v.eq_ignore_ascii_case("auto") || v.is_empty() {
-        return Parallelism::Auto;
-    }
-    match v.parse() {
-        Ok(n) => Parallelism::Fixed(n),
-        Err(_) => {
-            eprintln!("SCAR_THREADS={v:?} is not `serial`, `auto`, or a thread count");
-            std::process::exit(2);
-        }
-    }
-}
-
 fn main() {
+    let knobs = Knobs::of("serve_sim");
     let horizon_s = 2.0;
-    let parallelism = parallelism_from_env();
     let registry = PolicyRegistry::with_zoo();
     // the policy file (when given) is the base layer; SCAR_POLICY /
     // SCAR_NSPLITS env knobs, when also set, win over its choices
-    let policy_file = match std::env::var("SCAR_POLICY_FILE") {
-        Ok(path) => match PolicyFile::load(&path) {
-            Ok(f) => Some(f),
-            Err(e) => {
-                eprintln!("SCAR_POLICY_FILE: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => None,
-    };
-    let policy = std::env::var("SCAR_POLICY").unwrap_or_else(|_| {
-        policy_file
-            .as_ref()
-            .map_or_else(|| "SCAR".to_string(), |f| f.policy.clone())
-    });
-    if !registry.contains(&policy) {
+    let policy_file = knobs.parse("SCAR_POLICY_FILE", |path| PolicyFile::load(path));
+    let policy = knobs
+        .text("SCAR_POLICY")
+        .or(policy_file.as_ref().map(|f| f.policy.as_str()))
+        .unwrap_or("SCAR");
+    if !registry.contains(policy) {
         eprintln!(
             "SCAR_POLICY={policy:?} is not registered (known: {})",
             registry.names().join(", ")
         );
         std::process::exit(2);
     }
-    let admission = match std::env::var("SCAR_ADMISSION") {
-        Ok(spec) => AdmissionKind::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("SCAR_ADMISSION: {e}");
-            std::process::exit(2);
-        }),
-        Err(_) => AdmissionKind::AcceptAll,
+    let base = ServeConfig {
+        parallelism: knobs
+            .parse("SCAR_THREADS", Parallelism::parse)
+            .unwrap_or_default(),
+        admission: knobs
+            .parse("SCAR_ADMISSION", AdmissionKind::parse)
+            .unwrap_or_default(),
+        preemption: knobs.flag("SCAR_PREEMPT"),
+        cost_db_path: knobs.text("SCAR_COST_DB").map(Into::into),
+        cost_db_max_entries: knobs.parse("SCAR_COST_DB_MAX", str::parse),
+        ..ServeConfig::default()
     };
-    let shape = match std::env::var("SCAR_TRAFFIC_SHAPE").as_deref() {
-        Err(_) => None,
-        Ok("poisson") => Some(TrafficShape::Poisson),
-        Ok("burst") => Some(TrafficShape::Burst),
-        Ok("diurnal") => Some(TrafficShape::Diurnal),
-        Ok(other) => {
-            eprintln!("SCAR_TRAFFIC_SHAPE={other:?} is not poisson, burst, or diurnal");
-            std::process::exit(2);
-        }
-    };
-    let preemption = match std::env::var("SCAR_PREEMPT").as_deref() {
-        Err(_) | Ok("0") | Ok("") => false,
-        Ok(_) => true,
-    };
-    let nsplits: usize = match std::env::var("SCAR_NSPLITS") {
-        Ok(n) => n.parse().unwrap_or_else(|_| {
-            eprintln!("SCAR_NSPLITS={n:?} is not a window-split count");
-            std::process::exit(2);
-        }),
-        Err(_) => policy_file
-            .as_ref()
-            .and_then(|f| f.overrides.nsplits)
-            .unwrap_or_else(|| ServeConfig::default().nsplits),
-    };
-    let search = policy_file
+    let mut base = policy_file
         .as_ref()
-        .and_then(|f| f.overrides.search.clone())
-        .unwrap_or_else(|| ServeConfig::default().search);
-    let cost_db_path = std::env::var("SCAR_COST_DB").ok().map(Into::into);
-    let cost_db_max_entries = match std::env::var("SCAR_COST_DB_MAX") {
-        Ok(n) => Some(n.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("SCAR_COST_DB_MAX={n:?} is not an entry bound");
-            std::process::exit(2);
-        })),
-        Err(_) => None,
-    };
-    let expect_zero_evals = std::env::var("SCAR_EXPECT_ZERO_EVALS").is_ok();
-    let expect_preemptions = std::env::var("SCAR_EXPECT_PREEMPTIONS").is_ok();
+        .map_or_else(|| base.clone(), |f| f.apply(&base));
+    if let Some(nsplits) = knobs.parse("SCAR_NSPLITS", str::parse) {
+        base.nsplits = nsplits;
+    }
+    let shape = knobs.parse("SCAR_TRAFFIC_SHAPE", TrafficShape::parse);
     // one sink for every primary-policy simulation; the Standalone
     // baselines get the disabled handle so the timeline attributes the
     // primary policy's wall time only
-    let telemetry = Telemetry::from_env();
+    let telemetry = Telemetry::enabled(knobs.flag("SCAR_TRACE"), knobs.flag("SCAR_METRICS"));
     let make_cfg = |telemetry: Telemetry| ServeConfig {
-        parallelism,
-        admission,
-        preemption,
-        nsplits,
-        search: search.clone(),
-        cost_db_path: cost_db_path.clone(),
-        cost_db_max_entries,
         telemetry,
-        ..ServeConfig::default()
+        ..base.clone()
     };
     let reshape = |mix: TrafficMix| match shape {
         Some(s) => mix.reshaped(s),
         None => mix,
     };
     println!(
-        "candidate evaluation: {parallelism:?} ({} worker threads) | policy {policy} | \
-         admission {admission:?} | shape {} | preemption {} | nsplits {nsplits} | cost db {}\n",
-        parallelism.threads(),
+        "candidate evaluation: {:?} ({} worker threads) | policy {policy} | \
+         admission {:?} | shape {} | preemption {} | nsplits {} | cost db {}\n",
+        base.parallelism,
+        base.parallelism.threads(),
+        base.admission,
         shape.map_or("native".to_string(), |s| s.to_string()),
-        if preemption { "on" } else { "off" },
-        cost_db_path
-            .as_ref()
-            .map_or("off".to_string(), |p: &std::path::PathBuf| {
-                let bound =
-                    cost_db_max_entries.map_or(String::new(), |max| format!(" (≤{max} entries)"));
-                format!("{}{bound}", p.display())
-            }),
+        if base.preemption { "on" } else { "off" },
+        base.nsplits,
+        base.cost_db_path.as_ref().map_or("off".to_string(), |p| {
+            let bound = base
+                .cost_db_max_entries
+                .map_or(String::new(), |max| format!(" (≤{max} entries)"));
+            format!("{}{bound}", p.display())
+        }),
     );
     let mut total_preemptions = 0u64;
 
@@ -225,7 +118,7 @@ fn main() {
 
         // cold start, then the same traffic replayed on the warm cache
         let cfg = make_cfg(telemetry.clone());
-        let scheduler = registry.build(&policy, &cfg).expect("checked above");
+        let scheduler = registry.build(policy, &cfg).expect("checked above");
         let mut sim = ServeSim::with_scheduler(&mcm, scheduler, cfg);
         let restored = sim.session().cached_costs();
         if restored > 0 {
@@ -252,7 +145,7 @@ fn main() {
             warm.cache.hits > 0,
             "recurring traffic must produce cache hits"
         );
-        if expect_zero_evals {
+        if knobs.flag("SCAR_EXPECT_ZERO_EVALS") {
             assert_eq!(
                 cold.cost_evaluations, 0,
                 "SCAR_EXPECT_ZERO_EVALS: the persisted snapshot must cover {}",
@@ -280,7 +173,7 @@ fn main() {
             b.energy_j,
             cold.energy_j,
         );
-        if expect_zero_evals {
+        if knobs.flag("SCAR_EXPECT_ZERO_EVALS") {
             assert_eq!(b.cost_evaluations, 0, "baseline must warm-start too");
         }
 
@@ -302,7 +195,7 @@ fn main() {
         println!();
     }
 
-    if expect_preemptions {
+    if knobs.flag("SCAR_EXPECT_PREEMPTIONS") {
         assert!(
             total_preemptions > 0,
             "SCAR_EXPECT_PREEMPTIONS: no mid-window preemption occurred \

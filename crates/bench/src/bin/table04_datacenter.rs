@@ -5,14 +5,14 @@
 //! (500 MHz chiplets, Table II package parameters).
 
 use scar_bench::artifacts;
-use scar_bench::strategy::{default_budget, run_strategies, Strategy};
+use scar_bench::strategy::{run_strategies, Strategy};
 use scar_bench::table::Table;
-use scar_core::{OptMetric, Session};
+use scar_core::{EvalTotals, OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
 fn main() {
-    let budget = default_budget();
+    let budget = SearchBudget::default();
     // one session for the whole table: every strategy x scenario x metric
     // cell reuses the same memoized layer costs
     let session = Session::new();
@@ -24,59 +24,50 @@ fn main() {
         ("EDP Search", OptMetric::Edp),
     ] {
         println!("== Table IV ({label}) ==");
-        let mut lat_table = Table::new(
-            std::iter::once("Strategy".to_string())
-                .chain((1..=5).map(|i| format!("Sc{i} Lat (s)")))
-                .collect(),
-        );
-        let mut edp_table = Table::new(
-            std::iter::once("Strategy".to_string())
-                .chain((1..=5).map(|i| format!("Sc{i} EDP (J*s)")))
-                .collect(),
-        );
-        // results[strategy][scenario]
-        let mut rows: Vec<Vec<Option<scar_core::EvalTotals>>> =
-            vec![vec![None; scenarios.len()]; strategies.len()];
-        let mut sweep = Vec::new();
-        for (si, sc) in scenarios.iter().enumerate() {
-            let res = run_strategies(
-                &session,
-                &strategies,
-                sc,
-                Profile::Datacenter,
-                &metric,
-                4,
-                &budget,
-            );
-            for r in res {
-                if let Some(pos) = strategies.iter().position(|s| s.name() == r.name) {
-                    rows[pos][si] = Some(r.result.total());
-                }
-                sweep.push(r);
-            }
-        }
+        let grid: Vec<_> = scenarios
+            .iter()
+            .map(|sc| {
+                run_strategies(
+                    &session,
+                    &strategies,
+                    sc,
+                    Profile::Datacenter,
+                    &metric,
+                    4,
+                    &budget,
+                )
+            })
+            .collect();
         let artifact_path = format!("ARTIFACT_table04_{}.json", metric.label());
+        let sweep: Vec<_> = grid.iter().flatten().flatten().cloned().collect();
         artifacts::write_sweep(&artifact_path, &sweep).expect("write sweep artifact");
-        for (pos, strat) in strategies.iter().enumerate() {
-            let mut lrow = vec![strat.name().to_string()];
-            let mut erow = vec![strat.name().to_string()];
-            for cell in &rows[pos] {
-                match cell {
-                    Some(t) => {
-                        lrow.push(format!("{:.4}", t.latency_s));
-                        erow.push(format!("{:.4}", t.edp()));
-                    }
-                    None => {
-                        lrow.push("-".into());
-                        erow.push("-".into());
-                    }
-                }
+        let table = |unit: &str, value: fn(&EvalTotals) -> f64| {
+            let mut t = Table::new(
+                std::iter::once("Strategy".to_string())
+                    .chain((1..=5).map(|i| format!("Sc{i} {unit}")))
+                    .collect(),
+            );
+            for (k, strat) in strategies.iter().enumerate() {
+                t.row(
+                    std::iter::once(strat.name().to_string())
+                        .chain(grid.iter().map(|row| {
+                            row[k]
+                                .as_ref()
+                                .map_or("-".into(), |r| format!("{:.4}", value(&r.result.total())))
+                        }))
+                        .collect(),
+                );
             }
-            lat_table.row(lrow);
-            edp_table.row(erow);
-        }
-        println!("Latency of top-{label} schedule:\n{lat_table}");
-        println!("EDP of top-{label} schedule:\n{edp_table}");
+            t
+        };
+        println!(
+            "Latency of top-{label} schedule:\n{}",
+            table("Lat (s)", |t| t.latency_s)
+        );
+        println!(
+            "EDP of top-{label} schedule:\n{}",
+            table("EDP (J*s)", EvalTotals::edp)
+        );
         println!("schedules persisted to {artifact_path}");
     }
     println!("paper shape: NVD-based strategies win Sc1-3; heterogeneous strategies close the gap (paper: win) on the heavy Sc4-5; Shi-homogeneous trails throughout.");

@@ -1,63 +1,54 @@
 //! Table V + Figure 10 — AR/VR (XRBench) EDP-search results on the 3×3
 //! MCM with 256-PE chiplets, normalized by Standalone (NVD).
 
-use scar_bench::strategy::{default_budget, run_strategies, Strategy};
-use scar_bench::table::Table;
-use scar_core::{EvalTotals, OptMetric, Session};
+use scar_bench::strategy::{run_strategies, Strategy};
+use scar_bench::table::{relative_cells, Table};
+use scar_core::{EvalTotals, OptMetric, SearchBudget, Session};
 use scar_mcm::templates::Profile;
 use scar_workloads::Scenario;
 
 fn main() {
-    let budget = default_budget();
+    let budget = SearchBudget::default();
     let session = Session::new();
     let strategies = Strategy::table_iv();
-    let scenarios = Scenario::all_arvr();
-
-    let mut results: Vec<Vec<Option<EvalTotals>>> =
-        vec![vec![None; scenarios.len()]; strategies.len()];
-    for (si, sc) in scenarios.iter().enumerate() {
-        for r in run_strategies(
-            &session,
-            &strategies,
-            sc,
-            Profile::ArVr,
-            &OptMetric::Edp,
-            4,
-            &budget,
-        ) {
-            if let Some(pos) = strategies.iter().position(|s| s.name() == r.name) {
-                results[pos][si] = Some(r.result.total());
-            }
-        }
-    }
-    let base_idx = strategies
+    let grid: Vec<_> = Scenario::all_arvr()
         .iter()
-        .position(|s| s.name() == "Stand.(NVD)")
-        .unwrap();
+        .map(|sc| {
+            run_strategies(
+                &session,
+                &strategies,
+                sc,
+                Profile::ArVr,
+                &OptMetric::Edp,
+                4,
+                &budget,
+            )
+        })
+        .collect();
+    let nvd = strategies
+        .iter()
+        .position(|&s| s == Strategy::StandaloneNvd)
+        .expect("Table IV includes Stand.(NVD)");
 
     println!("== Table V / Figure 10: AR/VR EDP search (normalized by Stand.(NVD)) ==\n");
-    for (title, f) in [
+    for (title, value) in [
         (
             "Relative Latency",
-            Box::new(|t: &EvalTotals| t.latency_s) as Box<dyn Fn(&EvalTotals) -> f64>,
+            (|t| t.latency_s) as fn(&EvalTotals) -> f64,
         ),
-        ("Relative EDP", Box::new(|t: &EvalTotals| t.edp())),
+        ("Relative EDP", EvalTotals::edp),
     ] {
         let mut table = Table::new(
             std::iter::once("Strategy".to_string())
                 .chain((6..=10).map(|i| format!("Sc{i}")))
                 .collect(),
         );
-        for (pos, strat) in strategies.iter().enumerate() {
-            let mut row = vec![strat.name().to_string()];
-            for (si, cell) in results[pos].iter().enumerate() {
-                let base = results[base_idx][si].as_ref().map(&f);
-                row.push(match (cell, base) {
-                    (Some(t), Some(b)) if b > 0.0 => format!("{:.2}", f(t) / b),
-                    _ => "-".into(),
-                });
-            }
-            table.row(row);
+        for (k, strat) in strategies.iter().enumerate() {
+            table.row(
+                std::iter::once(strat.name().to_string())
+                    .chain(relative_cells(&grid, k, nvd, |r| value(&r.result.total())))
+                    .collect(),
+            );
         }
         println!("{title}:\n{table}");
     }

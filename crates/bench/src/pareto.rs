@@ -5,7 +5,11 @@ use scar_core::CandidatePoint;
 
 /// Renders labeled candidate clouds as an ASCII scatter (latency on x,
 /// energy on y, log-ish binning), one marker per series.
-pub fn ascii_scatter(series: &[(&str, &[CandidatePoint])], width: usize, height: usize) -> String {
+pub fn ascii_scatter(
+    series: &[(String, Vec<CandidatePoint>)],
+    width: usize,
+    height: usize,
+) -> String {
     let all: Vec<&CandidatePoint> = series.iter().flat_map(|(_, pts)| pts.iter()).collect();
     if all.is_empty() {
         return String::from("(no candidates)\n");
@@ -67,7 +71,7 @@ mod tests {
     #[test]
     fn scatter_renders_marker_legend() {
         let pts = vec![p(1.0, 1.0), p(2.0, 0.5)];
-        let s = ascii_scatter(&[("demo", &pts)], 20, 6);
+        let s = ascii_scatter(&[("demo".to_string(), pts)], 20, 6);
         assert!(s.contains("demo"));
         assert!(s.contains('*'));
     }

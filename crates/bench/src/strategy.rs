@@ -180,8 +180,9 @@ pub struct LabeledResult {
     pub result: ScheduleResult,
 }
 
-/// Runs a set of strategies on one scenario over a shared session,
-/// skipping infeasible ones.
+/// Runs a set of strategies on one scenario over a shared session: one
+/// result per strategy, in the order given, `None` where infeasible. A
+/// sweep over scenarios is then `grid[scenario][strategy]`.
 pub fn run_strategies(
     session: &Session,
     strategies: &[Strategy],
@@ -190,10 +191,10 @@ pub fn run_strategies(
     metric: &OptMetric,
     nsplits: usize,
     budget: &SearchBudget,
-) -> Vec<LabeledResult> {
+) -> Vec<Option<LabeledResult>> {
     strategies
         .iter()
-        .filter_map(|s| {
+        .map(|s| {
             let request = s.request(scenario, profile, metric.clone(), budget);
             let scheduler = s.scheduler(nsplits);
             scheduler
@@ -208,12 +209,6 @@ pub fn run_strategies(
                 })
         })
         .collect()
-}
-
-/// The experiment-wide default budget: a balance between coverage and the
-/// wall-clock of regenerating all tables (tighten or loosen per binary).
-pub fn default_budget() -> SearchBudget {
-    SearchBudget::default()
 }
 
 /// A lighter budget for the heavyweight scans (Figure 7's 3×3 grid, the

@@ -92,6 +92,27 @@ pub fn ratio(value: f64, baseline: f64) -> String {
     format!("{:.2}x", value / baseline)
 }
 
+/// One strategy's row of a normalized sweep: for every scenario of
+/// `grid[scenario][strategy]`, `value` of strategy `k` over `value` of
+/// strategy `base`, as `{:.2}` — or `-` when either result is missing or
+/// the base is not positive.
+pub fn relative_cells<T>(
+    grid: &[Vec<Option<T>>],
+    k: usize,
+    base: usize,
+    value: impl Fn(&T) -> f64,
+) -> Vec<String> {
+    grid.iter()
+        .map(|row| {
+            let at = |i: usize| row[i].as_ref().map(&value);
+            match (at(k), at(base)) {
+                (Some(v), Some(b)) if b > 0.0 => format!("{:.2}", v / b),
+                _ => "-".into(),
+            }
+        })
+        .collect()
+}
+
 /// Engineering-notation seconds (`1.37 s`, `0.28 ms`).
 pub fn fmt_seconds(s: f64) -> String {
     if s >= 1.0 {
@@ -140,6 +161,17 @@ mod tests {
     fn ratio_formatting() {
         assert_eq!(ratio(1.0, 2.0), "0.50x");
         assert_eq!(ratio(1.0, 0.0), "n/a");
+    }
+
+    #[test]
+    fn relative_cells_normalize_by_the_base_column() {
+        let grid = vec![
+            vec![Some(2.0), Some(3.0)],
+            vec![Some(2.0), None],
+            vec![Some(0.0), Some(1.0)],
+        ];
+        assert_eq!(relative_cells(&grid, 1, 0, |v| *v), ["1.50", "-", "-"]);
+        assert_eq!(relative_cells(&grid, 0, 0, |v| *v), ["1.00", "1.00", "-"]);
     }
 
     #[test]

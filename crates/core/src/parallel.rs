@@ -42,6 +42,25 @@ impl Parallelism {
                 .unwrap_or(1),
         }
     }
+
+    /// Parses `auto`, `serial` (case and surrounding whitespace ignored)
+    /// or a worker count `N` for [`Parallelism::Fixed`].
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending value.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let spec = spec.trim();
+        if spec.eq_ignore_ascii_case("auto") {
+            Ok(Parallelism::Auto)
+        } else if spec.eq_ignore_ascii_case("serial") {
+            Ok(Parallelism::Serial)
+        } else {
+            spec.parse()
+                .map(Parallelism::Fixed)
+                .map_err(|_| format!("{spec:?} is not `auto`, `serial`, or a thread count"))
+        }
+    }
 }
 
 /// Maps `f` over `items` on up to `threads` scoped workers, returning the
@@ -132,6 +151,18 @@ mod tests {
         assert_eq!(Parallelism::Fixed(5).threads(), 5);
         assert!(Parallelism::Auto.threads() >= 1);
         assert_eq!(Parallelism::default(), Parallelism::Auto);
+    }
+
+    #[test]
+    fn parse_accepts_auto_serial_and_counts() {
+        assert_eq!(Parallelism::parse("auto"), Ok(Parallelism::Auto));
+        assert_eq!(Parallelism::parse("serial"), Ok(Parallelism::Serial));
+        assert_eq!(Parallelism::parse("4"), Ok(Parallelism::Fixed(4)));
+        assert_eq!(Parallelism::parse("SeRiAl"), Ok(Parallelism::Serial));
+        assert_eq!(Parallelism::parse(" AUTO\t"), Ok(Parallelism::Auto));
+        assert_eq!(Parallelism::parse(" 8 "), Ok(Parallelism::Fixed(8)));
+        let err = Parallelism::parse("lots").unwrap_err();
+        assert!(err.contains("\"lots\""), "{err}");
     }
 
     #[test]

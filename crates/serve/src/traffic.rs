@@ -152,6 +152,25 @@ pub enum TrafficShape {
     Diurnal,
 }
 
+impl TrafficShape {
+    /// Parses `poisson`, `burst` or `diurnal`, ignoring case and
+    /// surrounding whitespace like the other spec parsers.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending value and the accepted shapes.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        match spec.trim().to_ascii_lowercase().as_str() {
+            "poisson" => Ok(TrafficShape::Poisson),
+            "burst" => Ok(TrafficShape::Burst),
+            "diurnal" => Ok(TrafficShape::Diurnal),
+            _ => Err(format!(
+                "{spec:?} is not a traffic shape (poisson, burst, diurnal)"
+            )),
+        }
+    }
+}
+
 impl std::fmt::Display for TrafficShape {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
@@ -575,6 +594,20 @@ fn exp_gap(rng: &mut StdRng, mean_s: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shape_parse_roundtrips_display_and_ignores_case() {
+        for shape in [
+            TrafficShape::Poisson,
+            TrafficShape::Burst,
+            TrafficShape::Diurnal,
+        ] {
+            assert_eq!(TrafficShape::parse(&shape.to_string()), Ok(shape));
+        }
+        assert_eq!(TrafficShape::parse(" BuRsT "), Ok(TrafficShape::Burst));
+        let err = TrafficShape::parse("square").unwrap_err();
+        assert!(err.contains("\"square\""), "{err}");
+    }
 
     #[test]
     fn periodic_arrivals_are_a_frame_clock() {

@@ -311,17 +311,6 @@ impl Telemetry {
         })))
     }
 
-    /// The bins' conventional construction: `SCAR_TRACE` enables the
-    /// timeline, `SCAR_METRICS` the registry (`0`/empty/unset = off).
-    pub fn from_env() -> Self {
-        let on = |k: &str| {
-            std::env::var(k)
-                .map(|v| !matches!(v.trim(), "" | "0"))
-                .unwrap_or(false)
-        };
-        Self::enabled(on("SCAR_TRACE"), on("SCAR_METRICS"))
-    }
-
     /// Whether any sink is attached.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
