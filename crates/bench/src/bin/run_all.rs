@@ -1,5 +1,4 @@
-//! Runs every experiment binary in DESIGN.md §4's index, in order, then
-//! the fleet-serving benchmark (DESIGN.md §12).
+//! Runs every experiment binary in DESIGN.md §4's index, in order.
 
 use std::process::Command;
 
@@ -17,7 +16,6 @@ fn main() {
         "ablation_nsplits",
         "ablation_prov",
         "ablation_packing",
-        "bench_fleet",
     ];
     let exe = std::env::current_exe().expect("current exe path");
     let dir = exe.parent().expect("target dir");

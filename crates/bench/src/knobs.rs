@@ -20,19 +20,8 @@ pub const KNOBS: &[(&str, &[&str])] = &[
     ("SCAR_NSPLITS", &["serve_sim", "replay"]),
     ("SCAR_COST_DB", &["serve_sim", "replay"]),
     ("SCAR_COST_DB_MAX", &["serve_sim"]),
-    ("SCAR_FLEET_SIZE", &["bench_fleet"]),
-    ("SCAR_FLEET_HET", &["bench_fleet"]),
-    ("SCAR_DISPATCH", &["bench_fleet"]),
-    ("SCAR_FLEET_HORIZON_S", &["bench_fleet"]),
-    ("SCAR_FABRIC", &["bench_fleet"]),
-    ("SCAR_REHOME", &["bench_fleet"]),
-    ("SCAR_FLEET_BASELINE", &["bench_fleet"]),
-    (
-        "SCAR_TRACE",
-        &["serve_sim", "bench_overload", "bench_fleet"],
-    ),
-    ("SCAR_METRICS", &["serve_sim", "bench_fleet"]),
-    ("SCAR_PERF_GATE", &["bench_overload", "bench_fleet"]),
+    ("SCAR_TRACE", &["serve_sim"]),
+    ("SCAR_METRICS", &["serve_sim"]),
     ("SCAR_SEARCH", &["replay"]),
     ("SCAR_REPLAY_MCM", &["replay"]),
     ("SCAR_REPLAY_FABRIC", &["replay"]),
@@ -157,7 +146,7 @@ mod tests {
             })
             .collect();
         assert_eq!(rows, want);
-        assert_eq!(KNOBS.len(), 25);
+        assert_eq!(KNOBS.len(), 17);
     }
 
     #[test]
@@ -183,6 +172,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "KNOBS does not list")]
     fn reading_an_undeclared_knob_panics() {
-        view("replay", &[]).text("SCAR_FLEET_SIZE");
+        view("replay", &[]).text("SCAR_TRACE");
     }
 }

@@ -47,7 +47,7 @@
 //! # Example: four heterogeneous replicas under cache-affinity routing
 //!
 //! ```
-//! use scar_serve::fleet::{DispatchKind, FleetConfig, FleetSim, ReplicaSpec};
+//! use scar_serve::fleet::{CacheAffinity, DispatchKind, FleetConfig, FleetSim, ReplicaSpec};
 //! use scar_serve::{ServeConfig, TrafficMix};
 //! use scar_mcm::templates::Profile;
 //!
@@ -55,7 +55,10 @@
 //! let mut fleet = FleetSim::new(
 //!     replicas,
 //!     FleetConfig {
-//!         dispatch: DispatchKind::parse("affinity").unwrap(),
+//!         dispatch: DispatchKind::CacheAffinity {
+//!             max_lag_s: CacheAffinity::DEFAULT_MAX_LAG_S,
+//!             rehome_every: 0,
+//!         },
 //!         ..FleetConfig::default()
 //!     },
 //! );
@@ -559,7 +562,13 @@ mod tests {
         // light load: no spills, so stream s is served only by replica
         // s % n, and idle spares see zero traffic
         let mix = TrafficMix::arvr(9);
-        let mut fleet = small_fleet(4, DispatchKind::parse("affinity").unwrap());
+        let mut fleet = small_fleet(
+            4,
+            DispatchKind::CacheAffinity {
+                max_lag_s: CacheAffinity::DEFAULT_MAX_LAG_S,
+                rehome_every: 0,
+            },
+        );
         let report = fleet.run(&mix, 0.1).unwrap();
         assert_eq!(report.migrations, 0, "light load must not spill");
         assert_eq!(

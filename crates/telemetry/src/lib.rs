@@ -14,7 +14,7 @@
 //! * **Phase wall-time** — every recorded span also accumulates into a
 //!   per-name `(count, total wall)` table; [`Telemetry::phase_wall`]
 //!   aggregates it by phase category for the per-phase attribution the
-//!   bins print and `bench_throughput` divides by.
+//!   bins print.
 //!
 //! # Zero cost when disabled
 //!

@@ -148,6 +148,45 @@ fn accept_all_defaults_reproduce_the_pre_overload_loop() {
     }
 }
 
+/// Preemption strictly reduces deadline misses on the burst overload mix:
+/// the same Markov-modulated AR/VR traffic, served once boundary-only and
+/// once with mid-window preemption, at accept-all admission so only the
+/// splice differs. Virtual time makes the miss count exact, so the pinned
+/// ceiling of 241/356 catches a splice regression as a strictly higher
+/// count, not as noise.
+#[test]
+fn preemption_strictly_reduces_misses_on_the_burst_mix() {
+    let mcm = arvr_mcm();
+    let mix = TrafficMix::arvr(0x0B57).reshaped(TrafficShape::Burst);
+    let run = |preemption: bool| {
+        let cfg = ServeConfig {
+            preemption,
+            ..preempt_cfg()
+        };
+        ServeSim::new(&mcm, cfg).run(&mix, 2.0).unwrap()
+    };
+    let (off, on) = (run(false), run(true));
+    assert_eq!(off.preemptions, 0, "preemption off must not splice");
+    assert!(on.preemptions > 0, "burst traffic must trigger splices");
+    for r in [&off, &on] {
+        assert_eq!(r.completed + r.rejected, r.offered, "conservation");
+    }
+    assert_eq!(off.offered, on.offered, "identical traffic either way");
+    assert!(
+        on.deadline_miss_rate() < off.deadline_miss_rate(),
+        "preemption must strictly reduce the miss rate ({on_misses} vs {off_misses} of {offered})",
+        on_misses = on.deadline_misses,
+        off_misses = off.deadline_misses,
+        offered = off.offered,
+    );
+    assert_eq!(on.offered, 356);
+    assert!(
+        on.deadline_misses <= 241,
+        "{} misses regressed past the pinned 241/356",
+        on.deadline_misses
+    );
+}
+
 /// The serving loop routes post-splice rounds through the
 /// `Scheduler::preempt` trait entry (not plain `schedule`): a wrapper
 /// scheduler observes exactly one preempt call per counted splice (the
@@ -349,8 +388,8 @@ fn diurnal_arrivals_are_deterministic_and_modulated() {
 }
 
 /// Reshaping preserves the mean offered load and the deadlines while
-/// changing only the arrival shape — the contract `bench_overload` and
-/// the serve-cache context rely on.
+/// changing only the arrival shape — the contract the burst overload
+/// gate above and the serve-cache context rely on.
 #[test]
 fn reshaping_preserves_mean_rate_and_deadlines() {
     let native = TrafficMix::arvr(1);
